@@ -197,22 +197,8 @@ class IntPoly:
         return f"IntPoly.parse({str(self)!r})"
 
     def __str__(self):
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "u" if e == 1 else f"u^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts)
+        return render_terms((e, self._coeffs[e])
+                            for e in sorted(self._coeffs, reverse=True))
 
     # -- parsing -----------------------------------------------------------
 
@@ -249,6 +235,27 @@ class IntPoly:
             out[exponent] = out.get(exponent, 0) + value
             pos = match.end()
         return cls(out)
+
+
+def render_terms(terms) -> str:
+    """Canonical text of a sum of c*u^e from (e, c) pairs, in the given
+    order; zero coefficients are skipped and an empty sum is "0".  Negative
+    exponents are allowed, so Laurent windows share the renderer."""
+    parts = []
+    for e, c in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "u" if e == 1 else f"u^{e}"
+            body = var if mag == 1 else f"{mag}{var}"
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------

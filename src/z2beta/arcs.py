@@ -22,9 +22,13 @@ from dataclasses import dataclass
 from .algebra import IntPoly, RationalU
 from .calculus import Atom, VirtualClass, affine_product, atom_class
 from .errors import ConstraintMismatch
-from .zeta import dl_zeta_naive, dl_zeta_signed, expand_zeta, monomial_resolution
-
-U_MINUS_ONE = RationalU(IntPoly.u() - 1)
+from .zeta import (
+    U_MINUS_ONE,
+    dl_zeta_naive,
+    dl_zeta_signed,
+    expand_zeta,
+    monomial_resolution,
+)
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,7 @@ def _base_class(germ: MonomialGerm, m: int, sign: str) -> VirtualClass:
         return VirtualClass.zero()
     if m % 2 == 1:
         return atom_class(Atom.pair())
-    return VirtualClass.from_parts(IntPoly.zero(), 2, dim_hint=0)
+    return VirtualClass(IntPoly.zero(), 2, dim_hint=0)
 
 
 def arc_class(germ: MonomialGerm, n: int, sign: str) -> VirtualClass:

@@ -6,9 +6,10 @@ arc-symmetric sets under the equivariant series, in the normal form
     value = P(u) + c * u/(u-1)
 
 where P has integer coefficients and the integer c >= 0 is the ordinary
-virtual Poincare polynomial of the fixed point set evaluated at 1.   Every
-operation preserves this shape and the constructor re-checks it, so a value
-that escapes the module is always in normal form.
+virtual Poincare polynomial of the fixed point set evaluated at 1.   A class
+stores only the pair (P, c) and derives the value from it, so every class is
+in normal form by construction; only ``VirtualClass.from_value``, which
+decomposes an arbitrary rational function, can fail to find one.
 
 Only the group operations plus multiplication by affine factors are exposed.
 A general ring product of two classes is deliberately absent: the series is
@@ -20,6 +21,7 @@ class of a point times a point).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import IntPoly, RationalU, exact_divide
 from .errors import (
@@ -45,37 +47,24 @@ SPHERE_ACTIONS = (ACTION_FREE, ACTION_FIXED, ACTION_TRIVIAL)
 class VirtualClass:
     """An equivariant virtual Poincare series in normal form.
 
-    ``value`` is the rational function, ``poly_part``/``fixed_tail`` its
-    decomposition, ``dim_hint`` an optional dimension claim used by
-    ``check_degree``.  Equality compares values only (the decomposition is
-    determined by the value, and hints are advisory).
+    The state is the decomposition: ``poly_part`` P (an int is taken as a
+    constant) and ``fixed_tail`` c; ``value`` is P + c*u/(u-1), derived on
+    first use.  ``dim_hint`` is an optional dimension claim used by
+    ``check_degree``.  The normal form is unique, so equality and hashing
+    compare (P, c) and ignore the advisory hint.
     """
 
-    value: RationalU
     poly_part: IntPoly
     fixed_tail: int
     dim_hint: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        expected = RationalU(self.poly_part) + self.fixed_tail * TAIL_SERIES
-        if self.value != expected:
-            raise NormalFormError(
-                f"{self.value} != {self.poly_part} + {self.fixed_tail}*u/(u-1)")
+        if isinstance(self.poly_part, int):
+            object.__setattr__(self, "poly_part", IntPoly({0: self.poly_part}))
 
-    def __eq__(self, other):
-        if not isinstance(other, VirtualClass):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        return hash(self.value)
-
-    @classmethod
-    def from_parts(cls, poly_part, fixed_tail: int, dim_hint=None) -> "VirtualClass":
-        if isinstance(poly_part, int):
-            poly_part = IntPoly({0: poly_part})
-        value = RationalU(poly_part) + fixed_tail * TAIL_SERIES
-        return cls(value, poly_part, fixed_tail, dim_hint)
+    @cached_property
+    def value(self) -> RationalU:
+        return _series(self.poly_part, self.fixed_tail)
 
     @classmethod
     def from_value(cls, value: RationalU, dim_hint=None) -> "VirtualClass":
@@ -91,30 +80,33 @@ class VirtualClass:
         rest = value - tail * TAIL_SERIES
         if not rest.is_polynomial():
             raise NormalFormError(f"{value} minus its tail is not a polynomial")
-        return cls(value, rest.numerator, tail, dim_hint)
+        return cls(rest.numerator, tail, dim_hint)
 
     @classmethod
     def zero(cls) -> "VirtualClass":
-        return cls.from_parts(IntPoly.zero(), 0)
+        return cls(IntPoly.zero(), 0)
 
     def is_zero(self) -> bool:
-        return self.value.is_zero()
+        return self.poly_part.is_zero() and self.fixed_tail == 0
 
     def __str__(self):
         return str(self.value)
 
 
-def _resolve_hint(result_value: RationalU, candidate: int | None) -> int | None:
-    if candidate is not None and result_value.degree == candidate:
+def _series(poly: IntPoly, tail: int) -> RationalU:
+    return RationalU(poly) + tail * TAIL_SERIES
+
+
+def _resolve_hint(poly: IntPoly, tail: int, candidate: int | None) -> int | None:
+    if candidate is not None and _series(poly, tail).degree == candidate:
         return candidate
     return None
 
 
 def _combine(a: VirtualClass, b: VirtualClass, sign: int, hint) -> VirtualClass:
-    value = a.value + sign * b.value
     poly = a.poly_part + sign * b.poly_part
     tail = a.fixed_tail + sign * b.fixed_tail
-    return VirtualClass(value, poly, tail, _resolve_hint(value, hint))
+    return VirtualClass(poly, tail, _resolve_hint(poly, tail, hint))
 
 
 def union_disjoint(a: VirtualClass, b: VirtualClass) -> VirtualClass:
@@ -148,10 +140,10 @@ def affine_product(a: VirtualClass, d: int) -> VirtualClass:
         raise ValueError("affine dimension must be non-negative")
     if d == 0:
         return a
-    value = a.value * RationalU(IntPoly.monomial(d))
     poly = a.poly_part.shift(d) + a.fixed_tail * IntPoly.geometric_sum(1, d)
     hint = a.dim_hint + d if a.dim_hint is not None else None
-    return VirtualClass(value, poly, a.fixed_tail, _resolve_hint(value, hint))
+    return VirtualClass(poly, a.fixed_tail,
+                        _resolve_hint(poly, a.fixed_tail, hint))
 
 
 def trivial_lift(beta_poly: IntPoly, allow_negative: bool = False) -> VirtualClass:
@@ -167,8 +159,7 @@ def trivial_lift(beta_poly: IntPoly, allow_negative: bool = False) -> VirtualCla
             "if it really is the virtual polynomial of a non-compact set")
     tail = int(beta_poly.evaluate(1))
     shifted = exact_lift_poly(beta_poly, tail)
-    return VirtualClass.from_parts(shifted, tail,
-                                   dim_hint=_poly_degree_hint(beta_poly))
+    return VirtualClass(shifted, tail, dim_hint=_poly_degree_hint(beta_poly))
 
 
 def _poly_degree_hint(p: IntPoly):
@@ -267,19 +258,19 @@ def atom_class(atom: Atom) -> VirtualClass:
     affine d-space -> u^(d+1)/(u-1); custom -> the given value.
     """
     if atom.kind == "point_trivial":
-        return VirtualClass.from_parts(IntPoly.zero(), 1, dim_hint=0)
+        return VirtualClass(IntPoly.zero(), 1, dim_hint=0)
     if atom.kind == "swapped_pair":
-        return VirtualClass.from_parts(IntPoly.one(), 0, dim_hint=0)
+        return VirtualClass(IntPoly.one(), 0, dim_hint=0)
     if atom.kind == "sphere":
         d = atom.dim
         if atom.action == ACTION_FREE:
-            return VirtualClass.from_parts(IntPoly({0: 1, d: 1}), 0, dim_hint=d)
+            return VirtualClass(IntPoly({0: 1, d: 1}), 0, dim_hint=d)
         # with a fixed point the groups do not depend on the action, and the
         # trivial action produces the same series
-        return VirtualClass.from_parts(IntPoly.geometric_sum(1, d), 2, dim_hint=d)
+        return VirtualClass(IntPoly.geometric_sum(1, d), 2, dim_hint=d)
     if atom.kind == "affine":
-        return VirtualClass.from_parts(IntPoly.geometric_sum(1, atom.dim), 1,
-                                       dim_hint=atom.dim)
+        return VirtualClass(IntPoly.geometric_sum(1, atom.dim), 1,
+                            dim_hint=atom.dim)
     if atom.kind == "custom":
         tail = int(atom.fixed_poly.evaluate(1))
         rest = atom.value - tail * TAIL_SERIES
@@ -287,7 +278,7 @@ def atom_class(atom: Atom) -> VirtualClass:
             raise InvalidAtom(
                 f"custom value {atom.value} is not in normal form with fixed "
                 f"polynomial {atom.fixed_poly}")
-        return VirtualClass(atom.value, rest.numerator, tail, atom.dim)
+        return VirtualClass(rest.numerator, tail, atom.dim)
     raise InvalidAtom(f"unknown atom kind {atom.kind!r}")
 
 

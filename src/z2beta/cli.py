@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import arcs, homology, verify, zeta
-from .algebra import IntPoly, LaurentWindow, RationalU, laurent_expand
+from .algebra import LaurentWindow, RationalU, laurent_expand, render_terms
 from .calculus import VirtualClass
 from .dsl import evaluate, parse_expression
 from .errors import ToolkitError
@@ -20,10 +20,6 @@ from .errors import ToolkitError
 
 # ---------------------------------------------------------------------------
 # formatting
-
-def format_rational(value: RationalU) -> str:
-    return str(value)
-
 
 def format_class(value: VirtualClass) -> str:
     """Canonical fraction plus the normal form as a readable sum.
@@ -45,23 +41,7 @@ def format_class(value: VirtualClass) -> str:
 
 
 def format_window(window: LaurentWindow) -> str:
-    parts = []
-    for exponent, coeff in window.terms():
-        if coeff == 0:
-            continue
-        mag = abs(coeff)
-        if exponent == 0:
-            body = str(mag)
-        else:
-            var = "u" if exponent == 1 else f"u^{exponent}"
-            body = var if mag == 1 else f"{mag}{var}"
-        if not parts:
-            parts.append(("-" if coeff < 0 else "") + body)
-        else:
-            parts.append((" - " if coeff < 0 else " + ") + body)
-    if not parts:
-        parts.append("0")
-    text = "".join(parts)
+    text = render_terms(window.terms())
     if window.eventually_constant is None:
         return text + " + ..."
     if window.eventually_constant != 0:
@@ -91,8 +71,6 @@ def format_output(value, mode="closed") -> str:
             return "\n".join(lines)
     if isinstance(value, VirtualClass):
         return format_class(value)
-    if isinstance(value, (RationalU, IntPoly, zeta.ZetaClosedForm)):
-        return str(value)
     return str(value)
 
 
@@ -173,7 +151,6 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run_suite(args.suite)
-    failed = 0
     for result in results:
         mark = "PASS" if result.passed else "FAIL"
         line = f"[{mark}] {result.name}"
@@ -186,6 +163,20 @@ def _cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are input errors: exit 1
@@ -201,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a class expression")
     p_eval.add_argument("expression")
-    p_eval.add_argument("--expand", type=int, metavar="K",
+    p_eval.add_argument("--expand", type=_int_at_least(0), metavar="K",
                         help="append the Laurent window down to u^-K")
     p_eval.set_defaults(handler=_cmd_eval)
 
@@ -216,16 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_zeta = sub.add_parser("zeta", help="zeta functions from resolution data")
     p_zeta.add_argument("file")
     p_zeta.add_argument("--sign", choices=["+", "-", "naive"], default="+")
-    p_zeta.add_argument("--expand", type=int, nargs="?", const=0, metavar="K",
+    p_zeta.add_argument("--expand", type=_int_at_least(0), nargs="?", const=0,
+                        metavar="K",
                         help="append the T-expansion to order K "
-                             "(default: 4 periods of every factor)")
+                             "(default or 0: 4 periods of every factor)")
     p_zeta.set_defaults(handler=_cmd_zeta)
 
     p_oracle = sub.add_parser("oracle",
                               help="definition-level arc classes of x^N")
-    p_oracle.add_argument("exponent", type=int, metavar="N")
+    p_oracle.add_argument("exponent", type=_int_at_least(1), metavar="N")
     p_oracle.add_argument("--sign", choices=["+", "-"], default="+")
-    p_oracle.add_argument("--order", type=int, default=12, metavar="K")
+    p_oracle.add_argument("--order", type=_int_at_least(1), default=12,
+                          metavar="K")
     p_oracle.add_argument("--compare-dl", action="store_true",
                           help="compare against the resolution-data engine")
     p_oracle.set_defaults(handler=_cmd_oracle)
@@ -241,10 +234,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -75,11 +75,7 @@ class Expression:
     args: tuple
 
     def __str__(self):
-        return f"{self.func}({', '.join(_format_arg(a) for a in self.args)})"
-
-
-def _format_arg(arg) -> str:
-    return str(arg)
+        return f"{self.func}({', '.join(map(str, self.args))})"
 
 
 # ---------------------------------------------------------------------------

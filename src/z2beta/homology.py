@@ -11,8 +11,11 @@ dimensional and no truncation is ever needed; both differential components
 lower n by one.
 
 Because only compact complexes are accepted, Borel-Moore homology agrees
-with ordinary homology and the same matrices, transposed, compute
-equivariant cohomology.
+with ordinary homology, and equivariant cohomology in degree n is built on
+the blocks C^q with q <= n.  Its coboundary is the transpose of the same
+total differential restricted to those blocks (sigma is an involution, so
+the 1 + sigma block is symmetric), and over F2 a matrix and its transpose
+have the same rank; one builder therefore serves both directions.
 
 Ranks are taken by dense Gaussian elimination over F2 with Python integers
 as bit rows; the curated complexes have well under a thousand cells.
@@ -79,16 +82,25 @@ class GCWComplex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GCWComplex":
-        cells = [(c["id"], c["dim"]) for c in data.get("cells", [])]
-        return cls(cells,
-                   boundary=data.get("boundary", {}),
-                   sigma=data.get("sigma", {}),
-                   fixed_is_geometric=data.get("fixed_is_geometric", False))
+        if not isinstance(data, dict):
+            raise InvalidComplex("complex data must be a JSON object")
+        try:
+            cells = [(c["id"], c["dim"]) for c in data.get("cells", [])]
+            return cls(cells,
+                       boundary=data.get("boundary", {}),
+                       sigma=data.get("sigma", {}),
+                       fixed_is_geometric=data.get("fixed_is_geometric", False))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidComplex(f"malformed complex data "
+                                 f"({type(exc).__name__}: {exc})") from exc
 
     @classmethod
     def load(cls, path) -> "GCWComplex":
-        with open(Path(path), encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise InvalidComplex(f"invalid JSON: {exc}") from exc
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return {
@@ -219,31 +231,25 @@ class _ChainData:
         return self.dims.get(q, 0)
 
 
-def _block_ranges(data: _ChainData, n: int):
-    """(q, offset) pairs for the degree-n piece, plus its total dimension."""
-    offsets = []
+def _total_boundary(data: _ChainData, src_qs: range, dst_qs: range) -> list:
+    """Columns of the total differential from the blocks ``src_qs`` to the
+    blocks ``dst_qs``: a cell of dimension q goes to its boundary in block
+    q - 1 and to 1 + sigma in block q."""
+    dst_offset = {}
     total = 0
-    for q in range(max(0, n), data.top + 1):
-        offsets.append((q, total))
+    for q in dst_qs:
+        dst_offset[q] = total
         total += data.dim(q)
-    return offsets, total
-
-
-def _total_boundary(data: _ChainData, n: int):
-    """Columns of the total differential from degree n to degree n - 1."""
-    src, _ = _block_ranges(data, n)
-    dst, dst_dim = _block_ranges(data, n - 1)
-    dst_offset = dict(dst)
     columns = []
-    for q, _src_off in src:
+    for q in src_qs:
         for j in range(data.dim(q)):
             col = 0
-            if q >= 1 and (q - 1) in dst_offset:
+            if q - 1 in dst_offset:
                 col ^= data.boundary[q][j] << dst_offset[q - 1]
             if q in dst_offset:
                 col ^= data.one_plus_sigma[q][j] << dst_offset[q]
             columns.append(col)
-    return columns, dst_dim
+    return columns
 
 
 def equivariant_homology(x: GCWComplex, n: int) -> int:
@@ -253,11 +259,14 @@ def equivariant_homology(x: GCWComplex, n: int) -> int:
 
 
 def _homology_dim(data: _ChainData, n: int) -> int:
-    _, piece_dim = _block_ranges(data, n)
+    def qs(m):  # the blocks C_q of degree m
+        return range(max(0, m), data.top + 1)
+
+    piece_dim = sum(data.dim(q) for q in qs(n))
     if piece_dim == 0:
         return 0
-    out_cols, _ = _total_boundary(data, n)
-    in_cols, _ = _total_boundary(data, n + 1)
+    out_cols = _total_boundary(data, qs(n), qs(n - 1))
+    in_cols = _total_boundary(data, qs(n + 1), qs(n))
     # the total differential squares to zero
     for col in in_cols:
         if _apply(out_cols, col):
@@ -283,54 +292,20 @@ def _plain_dim(data: _ChainData, n: int) -> int:
 def equivariant_cohomology(x: GCWComplex, n: int) -> int:
     """dim over F2 of the n-th equivariant cohomology group.
 
-    Built from the transposed differentials; valid because the accepted
-    complexes are compact.
+    The coboundary out of degree n is the transpose of the total
+    differential from the blocks q <= n + 1 to the blocks q <= n, and has
+    its rank; valid because the accepted complexes are compact.
     """
     data = _ChainData(x)
-    transposed_boundary = {
-        q: _transpose(data.boundary[q], data.dim(q - 1))
-        for q in data.boundary
-    }
 
-    def piece(m: int):
-        offsets = []
-        total = 0
-        if m >= 0:
-            for q in range(0, min(m, data.top) + 1):
-                offsets.append((q, total))
-                total += data.dim(q)
-        return dict(offsets), total
+    def qs(m):  # the blocks C^q of degree m
+        return range(0, min(m, data.top) + 1)
 
-    def differential(m: int):
-        src, _ = piece(m)
-        dst, _ = piece(m + 1)
-        columns = []
-        for q in sorted(src):
-            for j in range(data.dim(q)):
-                col = 0
-                if (q + 1) in dst:
-                    col ^= transposed_boundary[q + 1][j] << dst[q + 1]
-                if q in dst:
-                    col ^= data.one_plus_sigma[q][j] << dst[q]
-                columns.append(col)
-        return columns
-
-    _, piece_dim = piece(n)
+    piece_dim = sum(data.dim(q) for q in qs(n))
     if piece_dim == 0:
         return 0
-    return piece_dim - gf2_rank(differential(n)) - gf2_rank(differential(n - 1))
-
-
-def _transpose(columns, rows: int):
-    out = [0] * rows
-    for j, col in enumerate(columns):
-        i = 0
-        while col:
-            if col & 1:
-                out[i] |= 1 << j
-            col >>= 1
-            i += 1
-    return out
+    return (piece_dim - gf2_rank(_total_boundary(data, qs(n + 1), qs(n)))
+            - gf2_rank(_total_boundary(data, qs(n), qs(n - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +369,7 @@ def equivariant_betti_series(x: GCWComplex, window: int = DEFAULT_WINDOW) -> Vir
     tail = dims[-window]
     poly = IntPoly({n: dims[n] for n in range(1, top + 1)}) \
         + IntPoly({0: dims[0] - tail})
-    return VirtualClass.from_parts(poly, tail)
+    return VirtualClass(poly, tail)
 
 
 def product_with_trivial(x: GCWComplex, y: GCWComplex) -> GCWComplex:

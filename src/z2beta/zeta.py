@@ -19,6 +19,7 @@ to disagree at even multiplicities with even quotient order).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
@@ -85,7 +86,7 @@ def _parse_virtual_class(data, where: str) -> VirtualClass:
     tail = data["tail"]
     if not isinstance(tail, int):
         raise MalformedInput(f"{where}: tail must be an integer")
-    return VirtualClass.from_parts(poly, tail)
+    return VirtualClass(poly, tail)
 
 
 def load_resolution(source) -> ResolutionData:
@@ -95,16 +96,15 @@ def load_resolution(source) -> ResolutionData:
     The gcd of multiplicities is recomputed per stratum and checked against
     the stored value when one is present.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        with open(Path(source), encoding="utf-8") as handle:
-            data = json.load(handle)
-    elif isinstance(source, str):
+    data = source
+    if isinstance(source, (str, Path)):
         try:
-            data = json.loads(source)
-        except json.JSONDecodeError as exc:
+            text = str(source)
+            if not text.lstrip().startswith("{"):
+                text = Path(source).read_text(encoding="utf-8")
+            data = json.loads(text)
+        except ValueError as exc:
             raise MalformedInput(f"invalid JSON: {exc}") from exc
-    else:
-        data = source
     if not isinstance(data, dict):
         raise MalformedInput("resolution data must be a JSON object")
 
@@ -259,59 +259,48 @@ def expand_zeta(form: ZetaClosedForm, order: int) -> list:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    total = [RationalU.zero() for _ in range(order + 1)]
+    total = {}
     for term in form.terms:
-        acc = {0: term.coefficient}
+        series = {0: term.coefficient}
         for N, nu in term.factors:
-            factor_series = {}
-            k = 1
-            while N * k <= order:
-                factor_series[N * k] = RationalU(1, IntPoly.monomial(nu * k))
-                k += 1
-            nxt = {}
-            for e1, c1 in acc.items():
-                for e2, c2 in factor_series.items():
-                    if e1 + e2 <= order:
-                        e = e1 + e2
-                        nxt[e] = nxt.get(e, RationalU.zero()) + c1 * c2
-            acc = nxt
-        for e, c in acc.items():
-            if e >= 1:
-                total[e] = total[e] + c
-    return [(n, total[n]) for n in range(1, order + 1)]
+            geometric = {N * k: RationalU(1, IntPoly.monomial(nu * k))
+                         for k in range(1, order // N + 1)}
+            series = _t_mul(series, geometric, order)
+        _accumulate(total, series)
+    return [(n, total.get(n, RationalU.zero())) for n in range(1, order + 1)]
 
 
 def _as_t_polynomial(form: ZetaClosedForm, multiplicities: dict) -> dict:
     """The closed form times prod (1 - u^-nu T^N)^mult over all factors,
     as a T-polynomial {T-degree: RationalU}."""
+    order = sum(N * mult for (N, _), mult in multiplicities.items())
     result = {}
     for term in form.terms:
-        used = {}
-        for f in term.factors:
-            used[f] = used.get(f, 0) + 1
+        used = Counter(term.factors)
         poly = {0: term.coefficient}
-        for (N, nu), mult in used.items():
-            monomial = {N: RationalU(1, IntPoly.monomial(nu))}
-            for _ in range(mult):
-                poly = _t_mul(poly, monomial)
         for (N, nu), total_mult in multiplicities.items():
-            remaining = total_mult - used.get((N, nu), 0)
-            one_minus = {0: RationalU.one(),
-                         N: -RationalU(1, IntPoly.monomial(nu))}
-            for _ in range(remaining):
-                poly = _t_mul(poly, one_minus)
-        for e, c in poly.items():
-            result[e] = result.get(e, RationalU.zero()) + c
+            monomial = RationalU(1, IntPoly.monomial(nu))
+            for _ in range(used[(N, nu)]):
+                poly = _t_mul(poly, {N: monomial}, order)
+            for _ in range(total_mult - used[(N, nu)]):
+                poly = _t_mul(poly, {0: RationalU.one(), N: -monomial}, order)
+        _accumulate(result, poly)
     return {e: c for e, c in result.items() if not c.is_zero()}
 
 
-def _t_mul(a: dict, b: dict) -> dict:
+def _t_mul(a: dict, b: dict, order: int) -> dict:
+    """Product of two T-polynomials, dropping every degree above ``order``."""
     out = {}
     for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, RationalU.zero()) + c1 * c2
-    return {e: c for e, c in out.items() if not c.is_zero()}
+        _accumulate(out, {e1 + e2: c1 * c2 for e2, c2 in b.items()
+                          if e1 + e2 <= order})
+    return out
+
+
+def _accumulate(total: dict, poly: dict):
+    """Add the T-polynomial ``poly`` into ``total`` in place."""
+    for e, c in poly.items():
+        total[e] = total[e] + c if e in total else c
 
 
 def zeta_equal(a: ZetaClosedForm, b: ZetaClosedForm) -> bool:
@@ -320,10 +309,7 @@ def zeta_equal(a: ZetaClosedForm, b: ZetaClosedForm) -> bool:
     multiplicities = {}
     for form in (a, b):
         for term in form.terms:
-            used = {}
-            for f in term.factors:
-                used[f] = used.get(f, 0) + 1
-            for f, mult in used.items():
+            for f, mult in Counter(term.factors).items():
                 multiplicities[f] = max(multiplicities.get(f, 0), mult)
     return _as_t_polynomial(a, multiplicities) == _as_t_polynomial(b, multiplicities)
 

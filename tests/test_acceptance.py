@@ -283,11 +283,14 @@ def test_criterion_11_property_suites():
               Atom.sphere(1, ACTION_FREE), Atom.sphere(2, ACTION_FIXED))]
     for case in range(200):
         a, b, c = (rng.choice(atoms) for _ in range(3))
-        for out in (union_disjoint(a, b), difference(a, b),
-                    affine_product(a, rng.randint(0, 3)),
-                    blowup_class(a, b, c)):
+        d = rng.randint(0, 3)
+        for out, expected in (
+                (union_disjoint(a, b), a.value + b.value),
+                (difference(a, b), a.value - b.value),
+                (affine_product(a, d), a.value * RationalU(IntPoly.monomial(d))),
+                (blowup_class(a, b, c), a.value - b.value + c.value)):
             if out.value != RationalU(out.poly_part) \
-                    + out.fixed_tail * TAIL_SERIES:
+                    + out.fixed_tail * TAIL_SERIES or out.value != expected:
                 failures.append(f"normal form closure case {case}")
 
     for exponent in range(1, 6):

@@ -201,3 +201,29 @@ def test_missing_file_is_input_error(capsys):
 def test_usage_error_is_input_error(capsys):
     assert main(["zeta"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["homology", "{file}"], {"cells": [{"dim": 0}]}),
+    (["homology", "{file}"], [{"id": "v", "dim": 0}]),
+    (["homology", "{file}"], "not json"),
+    (["zeta", "{file}"], "not json"),
+    (["zeta", "{file}", "--expand", "-3"], None),
+    (["eval", "point()", "--expand", "-3"], None),
+    (["oracle", "0"], None),
+    (["oracle", "2", "--order", "0"], None),
+], ids=["cell-without-id", "top-level-list", "homology-not-json",
+        "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
+        "oracle-zero-exponent", "oracle-zero-order"])
+def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
+                                     capsys):
+    path = x2y4_file
+    if content is not None:
+        path = tmp_path / "input.json"
+        path.write_text(content if isinstance(content, str)
+                        else json.dumps(content), encoding="utf-8")
+    assert main([arg.format(file=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+    assert "Traceback" not in captured.err

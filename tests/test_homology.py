@@ -207,6 +207,19 @@ def test_fixed_set_must_be_closed():
         fixed_subcomplex(bad)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_cohomology_closed_forms(d):
+    # closed forms that do not go through the total-complex builder:
+    # antipodal S^d / G = RP^d has one class in each degree 0..d, and the
+    # trivial S^d gives H^*(BG) (one class in every degree >= 0) tensored
+    # with H^*(S^d) (degrees 0 and d)
+    antipodal = sphere_complex(d, "antipodal")
+    trivial = sphere_complex(d, "trivial")
+    for n in range(-2, d + 3):
+        assert equivariant_cohomology(antipodal, n) == int(0 <= n <= d)
+        assert equivariant_cohomology(trivial, n) == int(n >= 0) + int(n >= d)
+
+
 @pytest.mark.parametrize("builder,args", [
     (point_complex, ()),
     (swapped_pair_complex, ()),
@@ -287,6 +300,19 @@ def test_point_cohomology():
     point = point_complex()
     for n in range(-3, 5):
         assert equivariant_cohomology(point, n) == (1 if n >= 0 else 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_cohomology_closed_forms(d):
+    # closed forms that do not go through the total-complex builder:
+    # antipodal S^d / G = RP^d has one class in each degree 0..d, and the
+    # trivial S^d gives H^*(BG) (one class in every degree >= 0) tensored
+    # with H^*(S^d) (degrees 0 and d)
+    antipodal = sphere_complex(d, "antipodal")
+    trivial = sphere_complex(d, "trivial")
+    for n in range(-2, d + 3):
+        assert equivariant_cohomology(antipodal, n) == int(0 <= n <= d)
+        assert equivariant_cohomology(trivial, n) == int(n >= 0) + int(n >= d)
 
 
 @pytest.mark.parametrize("builder,args", [
