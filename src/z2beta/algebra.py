@@ -325,6 +325,11 @@ class RationalU:
     Normalization: no common polynomial factor, joint integer content 1,
     denominator leading coefficient positive.  Two equal values therefore
     compare equal structurally.
+
+    A denominator that is a single term c*u^k needs no polynomial gcd: the
+    common factor is exactly u^min(valuation(numerator), k), stripped by a
+    shift.  Such denominators are what T-expansions of zeta functions
+    produce.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -342,10 +347,15 @@ class RationalU:
             object.__setattr__(self, "numerator", num)
             object.__setattr__(self, "denominator", den)
             return
-        common = poly_gcd(num, den)
-        if common.degree > 0:
-            num = exact_divide(num, common)
-            den = exact_divide(den, common)
+        if den.term_count() == 1:  # c*u^k: the common factor is a power of u
+            common = min(num.valuation, den.valuation)
+            if common:
+                num, den = num.shift(-common), den.shift(-common)
+        else:
+            common = poly_gcd(num, den)
+            if common.degree > 0:
+                num = exact_divide(num, common)
+                den = exact_divide(den, common)
         joint = int_gcd(num.content(), den.content())
         if joint > 1:
             num = IntPoly({e: c // joint for e, c in num.coefficients.items()})

@@ -164,8 +164,14 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+#: Upper bound of N, ``--order`` and ``--expand``, checked before any work:
+#: at this size ``oracle N --order 1024 --compare-dl`` takes seconds (about
+#: 9 s for N = 3 on a 2-CPU VM).
+MAX_ORDER = 1024
+
+
 def _int_at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+    """argparse type: an integer from ``low`` to MAX_ORDER."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -174,6 +180,9 @@ def _int_at_least(low: int):
                 f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > MAX_ORDER:
+            raise argparse.ArgumentTypeError(
+                f"must be <= {MAX_ORDER}, got {value}")
         return value
     return parse
 

@@ -13,7 +13,9 @@ Grammar (one token of lookahead):
 Each function maps one-to-one onto a calculus operation.  Parsing is
 schema-driven: the expected argument kinds are known from the function name,
 which is what lets a bare ``u^2 + 1`` act as a literal inside ``lift(...)``
-while everywhere else names must be calls or keywords.
+while everywhere else names must be calls or keywords.  A ``^`` exponent or
+an integer argument above MAX_EXPONENT is a syntax error, raised before any
+evaluation.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ SIGNATURES = {
 
 SPHERE_KEYWORDS = {"free": ACTION_FREE, "fixed": ACTION_FIXED,
                    "trivial": ACTION_TRIVIAL}
+
+#: Largest ``^`` exponent and largest integer argument (a dimension, hence
+#: an exponent of u too), checked at parse time: work grows with them.
+MAX_EXPONENT = 1024
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,16 @@ class _Parser:
                 token.line, token.column, expected=(kind,))
         return self.advance()
 
+    def bounded_int(self) -> int:
+        token = self.expect("int")
+        # the length test keeps int() away from arbitrarily long digit strings
+        if len(token.text.lstrip("0")) > len(str(MAX_EXPONENT)) \
+                or int(token.text) > MAX_EXPONENT:
+            raise ExpressionSyntaxError(
+                f"integer larger than the limit {MAX_EXPONENT}",
+                token.line, token.column)
+        return int(token.text)
+
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Expression:
@@ -195,8 +211,7 @@ class _Parser:
             if token.kind == "-":
                 self.advance()
                 sign = -1
-            value = self.expect("int")
-            return sign * int(value.text)
+            return sign * self.bounded_int()
         if kind == SPHERE_ACTION:
             word = self.expect("name")
             if word.text not in SPHERE_KEYWORDS:
@@ -257,7 +272,7 @@ class _Parser:
             exponent = 1
             if self.peek().kind == "^":
                 self.advance()
-                exponent = int(self.expect("int").text)
+                exponent = self.bounded_int()
             return IntPoly.monomial(exponent, coeff)
         if has_coeff:
             return IntPoly.monomial(0, coeff)

@@ -44,10 +44,11 @@ DEFAULT_WINDOW = 4
 class GCWComplex:
     """A finite CW complex over F2 with a cellular involution.
 
-    ``cells`` maps id -> dimension, ``boundary`` maps id -> frozenset of ids
-    one dimension down (already reduced mod 2), ``sigma`` is the involution
-    (missing entries mean fixed cells).  ``fixed_is_geometric`` is a caller
-    assertion that the sigma-fixed cells model the geometric fixed set.
+    ``cells`` maps id -> dimension (>= 0), ``boundary`` maps id -> frozenset
+    of ids one dimension down (already reduced mod 2), ``sigma`` is the
+    involution (missing entries mean fixed cells).  ``fixed_is_geometric`` is
+    a caller assertion that the sigma-fixed cells model the geometric fixed
+    set.
     """
 
     __slots__ = ("cells", "boundary", "sigma", "fixed_is_geometric")
@@ -63,6 +64,8 @@ class GCWComplex:
                 if cell_id in cell_map:
                     raise InvalidComplex(f"duplicate cell id {cell_id!r}")
                 cell_map[str(cell_id)] = int(dim)
+        if min(cell_map.values(), default=0) < 0:
+            raise InvalidComplex("cell dimensions must be >= 0")
         bnd = {}
         for cell_id, faces in (boundary or {}).items():
             reduced = set()

@@ -7,6 +7,13 @@ the signed zeta functions the coefficient is (u-1)^(|I|-1) times the class
 of the two-sheeted covering of the stratum; for the naive one it is
 (u-1)^|I| times the ordinary class of the stratum itself.
 
+Expansion and semantic equality share one kernel.  A product of geometric
+factors has integer Laurent polynomials in u as T-coefficients, so the
+truncated T-products run over {T-degree: {u-exponent: int}}; only each
+term's coefficient p/q is a true fraction.  The product starts from the
+numerator p, the integer sums are taken per distinct denominator q, and one
+RationalU is built per (q, T-degree) at the end.
+
 Covering classes are *inputs*: carving them out of charts would need real
 semialgebraic geometry, and the worked examples hand them over directly.
 The engine applies the stratum formula literally, with the covering action
@@ -23,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 from .algebra import IntPoly, RationalU
 from .calculus import VirtualClass
@@ -31,8 +39,7 @@ from .errors import BadGcd, MalformedInput, UnknownDivisor
 U_MINUS_ONE = RationalU(IntPoly.u() - 1)
 
 
-@dataclass(frozen=True)
-class Divisor:
+class Divisor(NamedTuple):
     """An exceptional component: N is the multiplicity of the pulled back
     germ along it, nu is 1 + the multiplicity of the Jacobian."""
 
@@ -112,9 +119,15 @@ def load_resolution(source) -> ResolutionData:
     if not isinstance(ambient, int) or ambient < 1:
         raise MalformedInput("ambient_dim must be a positive integer")
 
+    divisor_entries = data.get("divisors", [])
+    stratum_entries = data.get("strata", [])
+    if not isinstance(divisor_entries, list) \
+            or not isinstance(stratum_entries, list):
+        raise MalformedInput("divisors and strata must be lists")
+
     divisors = []
     seen = set()
-    for entry in data.get("divisors", []):
+    for entry in divisor_entries:
         try:
             div = Divisor(str(entry["id"]), int(entry["N"]), int(entry["nu"]))
         except (KeyError, TypeError, ValueError) as exc:
@@ -129,9 +142,11 @@ def load_resolution(source) -> ResolutionData:
 
     strata = []
     seen_sets = set()
-    for entry in data.get("strata", []):
-        if "I" not in entry:
+    for entry in stratum_entries:
+        if not isinstance(entry, dict) or "I" not in entry:
             raise MalformedInput(f"stratum without divisor set: {entry!r}")
+        if not isinstance(entry["I"], list):
+            raise MalformedInput(f"stratum divisor set must be a list: {entry!r}")
         ids = frozenset(str(i) for i in entry["I"])
         if not ids:
             raise MalformedInput("stratum with empty divisor set")
@@ -145,7 +160,9 @@ def load_resolution(source) -> ResolutionData:
         for i in ids:
             true_m = gcd(true_m, by_id[i].N)
         if "m" in entry:
-            if int(entry["m"]) != true_m:
+            if not isinstance(entry["m"], int):
+                raise MalformedInput(f"stratum {sorted(ids)}: m must be an integer")
+            if entry["m"] != true_m:
                 raise BadGcd(f"stratum {sorted(ids)}: stored m = {entry['m']} "
                              f"but gcd of multiplicities is {true_m}")
         try:
@@ -163,9 +180,9 @@ def load_resolution(source) -> ResolutionData:
 # ---------------------------------------------------------------------------
 # closed forms
 
-@dataclass(frozen=True)
-class ZetaTerm:
-    """coefficient * product of u^-nu T^N / (1 - u^-nu T^N) factors."""
+class ZetaTerm(NamedTuple):
+    """coefficient * product of u^-nu T^N / (1 - u^-nu T^N) factors; the
+    (coefficient, factors) pair that ZetaClosedForm.from_terms takes."""
 
     coefficient: RationalU
     factors: tuple  # sorted (N, nu) pairs, repetitions allowed
@@ -254,19 +271,22 @@ def default_expansion_order(resolution: ResolutionData, cap: int = 64) -> int:
 def expand_zeta(form: ZetaClosedForm, order: int) -> list:
     """Coefficients of T^1 .. T^order, exactly.
 
-    Each geometric factor is the series sum over k >= 1 of u^(-nu k) T^(N k);
-    the expansion is plain truncated convolution.
+    Each geometric factor is the series sum over k >= 1 of u^(-nu k) T^(N k),
+    so a term's numerator times its product of factors has integer Laurent
+    polynomials in u as T-coefficients.  ``_t_mul`` convolves those with
+    plain ints, and ``_over_denominators`` builds the RationalU values once,
+    at the end.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    total = {}
+    pieces = []
     for term in form.terms:
-        series = {0: term.coefficient}
+        series = {0: dict(term.coefficient.numerator.coefficients)}
         for N, nu in term.factors:
-            geometric = {N * k: RationalU(1, IntPoly.monomial(nu * k))
-                         for k in range(1, order // N + 1)}
+            geometric = {N * k: {-nu * k: 1} for k in range(1, order // N + 1)}
             series = _t_mul(series, geometric, order)
-        _accumulate(total, series)
+        pieces.append((term.coefficient.denominator, series))
+    total = _over_denominators(pieces)
     return [(n, total.get(n, RationalU.zero())) for n in range(1, order + 1)]
 
 
@@ -274,33 +294,56 @@ def _as_t_polynomial(form: ZetaClosedForm, multiplicities: dict) -> dict:
     """The closed form times prod (1 - u^-nu T^N)^mult over all factors,
     as a T-polynomial {T-degree: RationalU}."""
     order = sum(N * mult for (N, _), mult in multiplicities.items())
-    result = {}
+    pieces = []
     for term in form.terms:
         used = Counter(term.factors)
-        poly = {0: term.coefficient}
+        poly = {0: dict(term.coefficient.numerator.coefficients)}
         for (N, nu), total_mult in multiplicities.items():
-            monomial = RationalU(1, IntPoly.monomial(nu))
             for _ in range(used[(N, nu)]):
-                poly = _t_mul(poly, {N: monomial}, order)
+                poly = _t_mul(poly, {N: {-nu: 1}}, order)
             for _ in range(total_mult - used[(N, nu)]):
-                poly = _t_mul(poly, {0: RationalU.one(), N: -monomial}, order)
-        _accumulate(result, poly)
-    return {e: c for e, c in result.items() if not c.is_zero()}
+                poly = _t_mul(poly, {0: {0: 1}, N: {-nu: -1}}, order)
+        pieces.append((term.coefficient.denominator, poly))
+    return _over_denominators(pieces)
 
 
 def _t_mul(a: dict, b: dict, order: int) -> dict:
-    """Product of two T-polynomials, dropping every degree above ``order``."""
+    """Product of two T-polynomials {T-degree: {u-exponent: int}} whose
+    coefficients are integer Laurent polynomials in u, dropping every
+    T-degree above ``order``."""
     out = {}
-    for e1, c1 in a.items():
-        _accumulate(out, {e1 + e2: c1 * c2 for e2, c2 in b.items()
-                          if e1 + e2 <= order})
+    for t1, c1 in a.items():
+        for t2, c2 in b.items():
+            if t1 + t2 > order:
+                continue
+            acc = out.setdefault(t1 + t2, {})
+            for e1, v1 in c1.items():
+                for e2, v2 in c2.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
     return out
 
 
-def _accumulate(total: dict, poly: dict):
-    """Add the T-polynomial ``poly`` into ``total`` in place."""
-    for e, c in poly.items():
-        total[e] = total[e] + c if e in total else c
+def _over_denominators(pieces) -> dict:
+    """Sum of series / q over (q, T-polynomial) pairs, as {T-degree:
+    nonzero RationalU}: the integer sums are taken per distinct q, and one
+    RationalU is built per (q, T-degree)."""
+    by_denominator = {}
+    for q, series in pieces:
+        sums = by_denominator.setdefault(q, {})
+        for t, laurent in series.items():
+            acc = sums.setdefault(t, {})
+            for e, c in laurent.items():
+                acc[e] = acc.get(e, 0) + c
+    total = {}
+    for q, sums in by_denominator.items():
+        for t, acc in sums.items():
+            acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                k = max(0, -min(acc))
+                value = RationalU(IntPoly({e + k: c for e, c in acc.items()}),
+                                  q.shift(k))
+                total[t] = total[t] + value if t in total else value
+    return {t: c for t, c in total.items() if not c.is_zero()}
 
 
 def zeta_equal(a: ZetaClosedForm, b: ZetaClosedForm) -> bool:

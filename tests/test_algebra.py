@@ -10,6 +10,7 @@ from z2beta.algebra import (
     NEG_INFINITY,
     IntPoly,
     RationalU,
+    exact_divide,
     laurent_expand,
     poly_gcd,
 )
@@ -167,6 +168,28 @@ def test_fraction_normal_form_unique():
     assert RationalU(4 * U, 2) == RationalU(2 * U)
     # denominator sign is normalized
     assert RationalU(U, 1 - U) == RationalU(-U, U - 1)
+
+
+def test_monomial_denominator_against_gcd_normal_form():
+    # RationalU strips a power of u from c*u^k denominators without poly_gcd;
+    # the reference normal form here goes through poly_gcd and exact_divide
+    rng = random.Random(4242)
+    for _ in range(400):
+        body = IntPoly.zero()
+        while body.is_zero() or body[0] == 0:
+            body = random_poly(rng, max_degree=5, max_coeff=30)
+        content = rng.choice([1, 2, 3, 6, 12])
+        num = (body * (content * rng.choice([1, -1]))).shift(rng.randint(0, 4))
+        den = IntPoly.monomial(rng.randint(0, 8), rng.choice([1, -1, 2, -2, 6, -6]))
+        common = poly_gcd(num, den)
+        ref_num, ref_den = exact_divide(num, common), exact_divide(den, common)
+        joint = int_gcd(ref_num.content(), ref_den.content())
+        ref_num = IntPoly({e: c // joint for e, c in ref_num.coefficients.items()})
+        ref_den = IntPoly({e: c // joint for e, c in ref_den.coefficients.items()})
+        if ref_den.leading_coefficient < 0:
+            ref_num, ref_den = -ref_num, -ref_den
+        value = RationalU(num, den)
+        assert (value.numerator, value.denominator) == (ref_num, ref_den)
 
 
 def test_fraction_division():

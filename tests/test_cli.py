@@ -212,9 +212,25 @@ def test_usage_error_is_input_error(capsys):
     (["eval", "point()", "--expand", "-3"], None),
     (["oracle", "0"], None),
     (["oracle", "2", "--order", "0"], None),
+    (["zeta", "{file}"], {"ambient_dim": 1, "divisors": [],
+                          "strata": [{"I": 5}]}),
+    (["zeta", "{file}"], {"ambient_dim": 1, "divisors": 7}),
+    (["zeta", "{file}"], {"ambient_dim": 1,
+                          "divisors": [{"id": "E1", "N": 2, "nu": 1}],
+                          "strata": [{"I": ["E1"], "m": "x"}]}),
+    (["zeta", "{file}"], {"ambient_dim": 1, "divisors": [], "strata": [7]}),
+    (["homology", "{file}"], {"cells": [{"id": "v", "dim": -3}]}),
+    (["oracle", "2", "--order", "100000"], None),
+    (["zeta", "{file}", "--expand", "100000"], None),
+    (["eval", "lift(u^100000000)"], None),
+    (["eval", "lift(u^" + "9" * 5000 + ")"], None),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
-        "oracle-zero-exponent", "oracle-zero-order"])
+        "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
+        "divisors-not-list", "stratum-m-not-int", "stratum-not-object",
+        "negative-cell-dim", "oracle-order-above-max",
+        "zeta-expand-above-max", "eval-exponent-above-max",
+        "eval-exponent-digits-above-max"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

@@ -1,6 +1,8 @@
 """The resolution-data zeta engine against the worked closed forms."""
 
 import json
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from z2beta.algebra import IntPoly, RationalU
 from z2beta.errors import BadGcd, MalformedInput, UnknownDivisor
 from z2beta.zeta import (
     ZetaClosedForm,
+    _as_t_polynomial,
     check_sign_identity,
     default_expansion_order,
     dl_zeta_naive,
@@ -83,6 +86,18 @@ def test_unknown_divisor_rejected():
     "{ this is not json",
 ])
 def test_malformed_input_rejected(data):
+    with pytest.raises(MalformedInput):
+        load_resolution(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"ambient_dim": 1, "divisors": [], "strata": [{"I": 5}]},
+    {"ambient_dim": 1, "divisors": 7},
+    {"ambient_dim": 1, "divisors": [{"id": "E1", "N": 2, "nu": 1}],
+     "strata": [{"I": ["E1"], "m": "x"}]},
+    {"ambient_dim": 1, "divisors": [], "strata": [7]},
+], ids=["I-not-list", "divisors-not-list", "m-not-int", "stratum-not-object"])
+def test_wrongly_typed_fields_rejected(data):
     with pytest.raises(MalformedInput):
         load_resolution(data)
 
@@ -226,6 +241,58 @@ def test_expansion_against_brute_force_enumeration():
             assert expanded[n] == brute_force_coefficient(form, n), n
 
 
+def geometric_values(form, x, order):
+    """Independent expansion oracle at the point u = x: each term's T-series
+    is its coefficient's value times the product of the geometric sums
+    sum_k (x^-nu T^N)^k, convolved over Fraction values; returns the
+    values of T^0 .. T^order."""
+    total = [Fraction(0)] * (order + 1)
+    for term in form.terms:
+        series = [Fraction(0)] * (order + 1)
+        series[0] = term.coefficient.eval_at(x)
+        for N, nu in term.factors:
+            ratio = Fraction(1, x ** nu)
+            product = [Fraction(0)] * (order + 1)
+            for e, c in enumerate(series):
+                for k in range(1, (order - e) // N + 1):
+                    product[e + N * k] += c * ratio ** k
+            series = product
+        total = [t + c for t, c in zip(total, series)]
+    return total
+
+
+#: hand-built forms whose coefficient denominators are 1, u-1, (u-1)^2 and
+#: powers of u, with repeated factors and shared factor sets
+HAND_BUILT = (
+    closed((RationalU(U ** 2 - 3), (A,)),
+           (RationalU(U, U - 1), (A, A)),
+           (RationalU(2 * U + 1, (U - 1) ** 2), (A, B, (3, 1))),
+           (RationalU(-5, U ** 3), ((3, 1), (3, 1), (3, 1)))),
+    closed((RationalU(U - 1, U), ((1, 1),)),
+           (RationalU(7, U ** 2), ((1, 1), (1, 1))),
+           (RationalU(-U ** 3, (U - 1) ** 2), ((1, 2), (5, 4))),
+           (RationalU(U ** 2 + U + 1, U - 1), ((1, 1), (1, 2)))),
+    closed((RationalU(3 * U - 2, U ** 5), (B, B)),
+           (RationalU(-1, U - 1), (B, B)),
+           (RationalU(U + 4, (U - 1) ** 2), (A, A, A)),
+           (RationalU(1), ((6, 1),))),
+)
+
+
+@pytest.mark.parametrize("x", [3, 7])
+def test_expansion_against_geometric_sums_at_points(x):
+    res = x2_plus_y4_resolution()
+    cases = [(dl_zeta_signed(res, "+"), 128), (dl_zeta_signed(res, "-"), 128),
+             (dl_zeta_naive(res), 128)]
+    cases += [(form, 40) for form in HAND_BUILT]
+    for form, order in cases:
+        want = geometric_values(form, x, order)
+        expanded = expand_zeta(form, order)
+        assert [n for n, _ in expanded] == list(range(1, order + 1))
+        for n, coeff in expanded:
+            assert coeff.eval_at(x) == want[n], (str(form), n)
+
+
 # ---------------------------------------------------------------------------
 # semantic equality
 
@@ -247,6 +314,29 @@ def test_zeta_equal_partial_fractions():
     a = closed((RationalU(U), g), (RationalU(1), g))
     b = closed((RationalU(U + 1), g))
     assert zeta_equal(a, b)
+
+
+@pytest.mark.parametrize("x, t", [(3, Fraction(1, 5)), (7, Fraction(2, 3))])
+def test_cross_multiplied_polynomial_at_points(x, t):
+    # zeta_equal compares the T-polynomials F * prod (1 - u^-nu T^N)^mult;
+    # check them against the closed form's value at (u, T) = (x, t)
+    for form in HAND_BUILT:
+        multiplicities = {(2, 1): 1}
+        for term in form.terms:
+            for f, mult in Counter(term.factors).items():
+                multiplicities[f] = max(multiplicities.get(f, 0), mult)
+        value = Fraction(0)
+        for term in form.terms:
+            part = term.coefficient.eval_at(x)
+            for N, nu in term.factors:
+                g = Fraction(1, x ** nu) * t ** N
+                part *= g / (1 - g)
+            value += part
+        for (N, nu), mult in multiplicities.items():
+            value *= (1 - Fraction(1, x ** nu) * t ** N) ** mult
+        poly = _as_t_polynomial(form, multiplicities)
+        assert sum(c.eval_at(x) * t ** e for e, c in poly.items()) == value
+        assert all(not c.is_zero() for c in poly.values())
 
 
 def test_zeta_equal_repeated_factor():
