@@ -47,6 +47,14 @@ class IntPoly:
                     clean[int(exp)] = c
         self._coeffs = clean
 
+    @classmethod
+    def _trusted(cls, coeffs: dict) -> "IntPoly":
+        # no re-validation: ring results already hold nonzero int
+        # coefficients at nonnegative int exponents
+        poly = object.__new__(cls)
+        poly._coeffs = coeffs
+        return poly
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -104,7 +112,9 @@ class IntPoly:
         """Positive gcd of all coefficients; 0 for the zero polynomial."""
         g = 0
         for c in self._coeffs.values():
-            g = int_gcd(g, abs(c))
+            g = int_gcd(g, c)
+            if g == 1:
+                break
         return g
 
     def term_count(self) -> int:
@@ -131,15 +141,21 @@ class IntPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other._coeffs:
+            return self
         out = dict(self._coeffs)
         for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return IntPoly(out)
+            total = out.get(e, 0) + c
+            if total:
+                out[e] = total
+            else:
+                del out[e]
+        return IntPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPoly({e: -c for e, c in self._coeffs.items()})
+        return IntPoly._trusted({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -162,7 +178,7 @@ class IntPoly:
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return IntPoly(out)
+        return IntPoly._trusted({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -180,7 +196,9 @@ class IntPoly:
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by u^k."""
-        return IntPoly({e + k: c for e, c in self._coeffs.items()})
+        if k < 0 and self._coeffs and self.valuation + k < 0:
+            raise ValueError(f"negative exponent {self.valuation + k} in IntPoly")
+        return IntPoly._trusted({e + k: c for e, c in self._coeffs.items()})
 
     # -- equality / hashing / text -----------------------------------------
 
@@ -237,6 +255,10 @@ class IntPoly:
         return cls(out)
 
 
+#: The trivial gcd as _common_factor returns it; _divide tests it by identity.
+_ONE = IntPoly({0: 1})
+
+
 def render_terms(terms) -> str:
     """Canonical text of a sum of c*u^e from (e, c) pairs, in the given
     order; zero coefficients are skipped and an empty sum is "0".  Negative
@@ -285,11 +307,16 @@ def exact_divide(num: IntPoly, den: IntPoly) -> IntPoly:
     return IntPoly(quotient)
 
 
+def _divide_content(p: IntPoly, k: int) -> IntPoly:
+    """p with every coefficient divided by k, which divides them all."""
+    return IntPoly._trusted({e: v // k for e, v in p.coefficients.items()})
+
+
 def _primitive(p: IntPoly) -> IntPoly:
     c = p.content()
     if c in (0, 1):
         return p
-    return IntPoly({e: v // c for e, v in p.coefficients.items()})
+    return _divide_content(p, c)
 
 
 def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -319,6 +346,35 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 # ---------------------------------------------------------------------------
 
+def _common_factor(a: IntPoly, b: IntPoly) -> IntPoly:
+    """gcd of the nonzero a and b over Q[u], primitive with a positive
+    leading coefficient; 1 is returned as ``_ONE``.
+
+    The shape of the inputs decides the common cases without ``poly_gcd``:
+    when either is a single term c*u^k (a constant included) the gcd is
+    u^min(valuations), and when both have the same primitive part up to
+    sign it is that part.
+    """
+    if a.term_count() == 1 or b.term_count() == 1:
+        k = min(a.valuation, b.valuation)
+        return _ONE if k == 0 else IntPoly.monomial(k)
+    if a.degree == b.degree and a.term_count() == b.term_count():
+        pa, pb = _primitive(a), _primitive(b)
+        if pa == pb or pa == -pb:
+            return pa if pa.leading_coefficient > 0 else -pa
+    common = poly_gcd(a, b)
+    return _ONE if common.degree == 0 else common
+
+
+def _divide(p: IntPoly, factor: IntPoly) -> IntPoly:
+    """p / factor for a factor from _common_factor that divides p."""
+    if factor is _ONE:
+        return p
+    if factor.term_count() == 1:
+        return p.shift(-factor.valuation)
+    return exact_divide(p, factor)
+
+
 class RationalU:
     """A fraction of integer polynomials in u, kept in a unique normal form.
 
@@ -326,10 +382,24 @@ class RationalU:
     denominator leading coefficient positive.  Two equal values therefore
     compare equal structurally.
 
-    A denominator that is a single term c*u^k needs no polynomial gcd: the
-    common factor is exactly u^min(valuation(numerator), k), stripped by a
-    shift.  Such denominators are what T-expansions of zeta functions
-    produce.
+    Arithmetic combines operands that are already in normal form by
+    Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1), so no gcd of the full
+    cross-multiplied numerator and denominator is ever taken:
+
+    - a/b * c/d: only a with d and c with b can share a factor, so the
+      result is (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d) and
+      g2 = gcd(c, b);
+    - a/b + c/d: only g = gcd(b, d) can cancel.  With t = a*(d/g) +
+      c*(b/g) and h = gcd(t, g) the result is (t/h) / ((b/g) * (d/h)); for
+      g = 1 that is (ad + bc)/(bd) as it stands.
+
+    Each partial gcd comes from ``_common_factor``, which needs no
+    ``poly_gcd`` when an input is a constant or a single term c*u^k (the
+    gcd is a power of u) or when both have the same primitive part.  The
+    values of the calculus, P + c*u/(u-1), and their scaling by u^-n never
+    reach ``poly_gcd``.  Results are stored by ``_coprime``, which fixes
+    only the joint integer content and the sign; ``RationalU(num, den)``
+    from outside removes ``_common_factor(num, den)`` first.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -339,31 +409,33 @@ class RationalU:
         den = IntPoly.one() if denominator is None else self._as_poly(denominator)
         if den.is_zero():
             raise DivisionByZero("zero denominator")
-        if num.is_zero():
-            object.__setattr__(self, "numerator", IntPoly.zero())
-            object.__setattr__(self, "denominator", IntPoly.one())
-            return
-        if den == IntPoly.one():  # already normal; polynomials are common
-            object.__setattr__(self, "numerator", num)
-            object.__setattr__(self, "denominator", den)
-            return
-        if den.term_count() == 1:  # c*u^k: the common factor is a power of u
-            common = min(num.valuation, den.valuation)
-            if common:
-                num, den = num.shift(-common), den.shift(-common)
+        if num:
+            common = _common_factor(num, den)
+            num, den = _divide(num, common), _divide(den, common)
+        self._settle(num, den)
+
+    def _settle(self, num: IntPoly, den: IntPoly):
+        # num and den share no polynomial factor: fix content and sign only
+        if not num:
+            num, den = IntPoly.zero(), IntPoly.one()
         else:
-            common = poly_gcd(num, den)
-            if common.degree > 0:
-                num = exact_divide(num, common)
-                den = exact_divide(den, common)
-        joint = int_gcd(num.content(), den.content())
-        if joint > 1:
-            num = IntPoly({e: c // joint for e, c in num.coefficients.items()})
-            den = IntPoly({e: c // joint for e, c in den.coefficients.items()})
-        if den.leading_coefficient < 0:
-            num, den = -num, -den
+            joint = den.content()
+            if joint > 1:
+                joint = int_gcd(joint, num.content())
+                if joint > 1:
+                    num = _divide_content(num, joint)
+                    den = _divide_content(den, joint)
+            if den.leading_coefficient < 0:
+                num, den = -num, -den
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def _coprime(cls, num: IntPoly, den: IntPoly) -> "RationalU":
+        """num/den for nonzero den sharing no polynomial factor with num."""
+        value = object.__new__(cls)
+        value._settle(num, den)
+        return value
 
     def __setattr__(self, *args):
         raise AttributeError("RationalU is immutable")
@@ -413,22 +485,27 @@ class RationalU:
         if isinstance(other, RationalU):
             return other
         if isinstance(other, (IntPoly, int)):
-            return cls(other)
+            return cls._coprime(cls._as_poly(other), IntPoly.one())
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalU(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
+        a, b = self.numerator, self.denominator
+        c, d = other.numerator, other.denominator
+        g = _common_factor(b, d)
+        b_rest = _divide(b, g)
+        t = a * _divide(d, g) + c * b_rest
+        if not t:
+            return RationalU.zero()
+        h = _common_factor(t, g)
+        return RationalU._coprime(_divide(t, h), b_rest * _divide(d, h))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalU(-self.numerator, self.denominator)
+        return RationalU._coprime(-self.numerator, self.denominator)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -446,8 +523,8 @@ class RationalU:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RationalU(self.numerator * other.numerator,
-                         self.denominator * other.denominator)
+        return _product(self.numerator, self.denominator,
+                        other.numerator, other.denominator)
 
     __rmul__ = __mul__
 
@@ -457,8 +534,8 @@ class RationalU:
             return NotImplemented
         if other.is_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RationalU(self.numerator * other.denominator,
-                         self.denominator * other.numerator)
+        return _product(self.numerator, self.denominator,
+                        other.denominator, other.numerator)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -470,8 +547,9 @@ class RationalU:
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("negative power of zero")
-            return RationalU(self.denominator, self.numerator) ** (-n)
-        return RationalU(self.numerator ** n, self.denominator ** n)
+            return RationalU._coprime(self.denominator, self.numerator) ** (-n)
+        # powers of coprime polynomials stay coprime
+        return RationalU._coprime(self.numerator ** n, self.denominator ** n)
 
     def __bool__(self):
         return not self.is_zero()
@@ -509,6 +587,15 @@ class RationalU:
         num = IntPoly.parse(num_text)
         den = IntPoly.one() if den_text is None else IntPoly.parse(den_text)
         return cls(num, den)
+
+
+def _product(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RationalU:
+    """(a/b) * (c/d) for coprime pairs (a, b) and (c, d), by Henrici's rule."""
+    if not a or not c:
+        return RationalU.zero()
+    g1, g2 = _common_factor(a, d), _common_factor(c, b)
+    return RationalU._coprime(_divide(a, g1) * _divide(c, g2),
+                              _divide(b, g2) * _divide(d, g1))
 
 
 def _split_fraction(text: str):

@@ -14,7 +14,8 @@ Each function maps one-to-one onto a calculus operation.  Parsing is
 schema-driven: the expected argument kinds are known from the function name,
 which is what lets a bare ``u^2 + 1`` act as a literal inside ``lift(...)``
 while everywhere else names must be calls or keywords.  A ``^`` exponent or
-an integer argument above MAX_EXPONENT is a syntax error, raised before any
+an integer argument above MAX_EXPONENT, and a polynomial coefficient of more
+than MAX_COEFFICIENT_DIGITS digits, are syntax errors, raised before any
 evaluation.
 """
 
@@ -70,6 +71,11 @@ SPHERE_KEYWORDS = {"free": ACTION_FREE, "fixed": ACTION_FIXED,
 #: Largest ``^`` exponent and largest integer argument (a dimension, hence
 #: an exponent of u too), checked at parse time: work grows with them.
 MAX_EXPONENT = 1024
+
+#: Most digits of a polynomial coefficient, checked at parse time.  The
+#: calculus only adds coefficients, so every printed result stays far below
+#: Python's 4300-digit limit on integer-string conversion.
+MAX_COEFFICIENT_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -160,15 +166,23 @@ class _Parser:
                 token.line, token.column, expected=(kind,))
         return self.advance()
 
-    def bounded_int(self) -> int:
+    def bounded_int(self, max_digits: int | None = None) -> int:
+        """The next integer token, at most MAX_EXPONENT, or with at most
+        ``max_digits`` digits when that is given."""
         token = self.expect("int")
+        digits = token.text.lstrip("0") or "0"
         # the length test keeps int() away from arbitrarily long digit strings
-        if len(token.text.lstrip("0")) > len(str(MAX_EXPONENT)) \
-                or int(token.text) > MAX_EXPONENT:
+        if max_digits is not None:
+            if len(digits) > max_digits:
+                raise ExpressionSyntaxError(
+                    f"integer longer than the limit of {max_digits} digits",
+                    token.line, token.column)
+            return int(digits)
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise ExpressionSyntaxError(
                 f"integer larger than the limit {MAX_EXPONENT}",
                 token.line, token.column)
-        return int(token.text)
+        return int(digits)
 
     # -- grammar -----------------------------------------------------------
 
@@ -262,7 +276,7 @@ class _Parser:
         coeff = 1
         has_coeff = False
         if token.kind == "int":
-            coeff = int(self.advance().text)
+            coeff = self.bounded_int(MAX_COEFFICIENT_DIGITS)
             has_coeff = True
             if self.peek().kind == "*":
                 self.advance()

@@ -6,6 +6,7 @@ from math import gcd as int_gcd
 
 import pytest
 
+from z2beta import algebra
 from z2beta.algebra import (
     NEG_INFINITY,
     IntPoly,
@@ -14,6 +15,8 @@ from z2beta.algebra import (
     laurent_expand,
     poly_gcd,
 )
+from z2beta.arcs import MonomialGerm, oracle_zeta, oracle_zeta_naive
+from z2beta.calculus import VirtualClass
 from z2beta.errors import DivisionByZero, NonIntegerExpansion, PoleAtPoint
 
 U = IntPoly.u()
@@ -56,6 +59,16 @@ def test_poly_ring_ops():
     assert (U + 1) + (U - 1) == IntPoly({1: 2})
     assert (U - 1) * (U + 1) == U ** 2 - 1
     assert IntPoly.zero() * (U ** 3 + 5) == IntPoly.zero()
+
+
+def test_ring_results_hold_no_zero_entries():
+    assert dict(((U + 1) * (U - 1)).coefficients) == {2: 1, 0: -1}
+    assert dict(((U ** 2 + U) + (3 - U)).coefficients) == {2: 1, 0: 3}
+    assert dict((U - U).coefficients) == {}
+    assert hash((U + 1) * (U - 1)) == hash(U ** 2 - 1)
+    assert (U ** 3 + U).shift(-1) == U ** 2 + 1
+    with pytest.raises(ValueError):
+        (U ** 3 + 1).shift(-1)
 
 
 def test_poly_degree_and_valuation():
@@ -190,6 +203,34 @@ def test_monomial_denominator_against_gcd_normal_form():
             ref_num, ref_den = -ref_num, -ref_den
         value = RationalU(num, den)
         assert (value.numerator, value.denominator) == (ref_num, ref_den)
+
+
+def test_values_and_arc_oracle_need_no_poly_gcd(monkeypatch):
+    # P + c*u/(u-1), its scaling by u^-n and the arc oracle combine normal
+    # forms whose partial gcds are decided by shape; count the full ones
+    calls = []
+    real_gcd = algebra.poly_gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return real_gcd(a, b)
+
+    monkeypatch.setattr(algebra, "poly_gcd", counting_gcd)
+    rng = random.Random(99)
+    for degree in (0, 1, 6, 100, 1000):
+        poly = IntPoly({e: rng.randint(-9, 9) for e in range(degree + 1)})
+        for tail in (0, 1, -3):
+            value = VirtualClass(poly, tail).value
+            assert value.eval_at(2) == poly.evaluate(2) + 2 * tail
+            for n in (0, 1, 17, 1000):
+                scaled = value * RationalU(1, U ** n)
+                assert scaled.eval_at(2) == Fraction(value.eval_at(2), 2 ** n)
+    for exponent in (2, 3):
+        germ = MonomialGerm(exponent)
+        for sign in ("+", "-"):
+            assert len(oracle_zeta(germ, sign, 256)) == 256
+        assert len(oracle_zeta_naive(germ, 256)) == 256
+    assert calls == []
 
 
 def test_fraction_division():

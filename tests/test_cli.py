@@ -224,13 +224,15 @@ def test_usage_error_is_input_error(capsys):
     (["zeta", "{file}", "--expand", "100000"], None),
     (["eval", "lift(u^100000000)"], None),
     (["eval", "lift(u^" + "9" * 5000 + ")"], None),
+    (["eval", "lift(" + "1" * 5000 + ")"], None),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
         "divisors-not-list", "stratum-m-not-int", "stratum-not-object",
         "negative-cell-dim", "oracle-order-above-max",
         "zeta-expand-above-max", "eval-exponent-above-max",
-        "eval-exponent-digits-above-max"])
+        "eval-exponent-digits-above-max",
+        "eval-coefficient-digits-above-max"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

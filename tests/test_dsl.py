@@ -4,7 +4,12 @@ import pytest
 
 from z2beta.algebra import IntPoly, RationalU
 from z2beta.calculus import Atom, atom_class
-from z2beta.dsl import Expression, evaluate, parse_expression
+from z2beta.dsl import (
+    MAX_COEFFICIENT_DIGITS,
+    Expression,
+    evaluate,
+    parse_expression,
+)
 from z2beta.errors import (
     ArityError,
     ExpressionSyntaxError,
@@ -130,6 +135,17 @@ def test_error_reports_position_on_second_line():
     with pytest.raises(ExpressionSyntaxError) as info:
         parse_expression("diff(point(),\n gadget())")
     assert info.value.line == 2
+
+
+def test_integer_length_limits():
+    # leading zeros count neither against a limit nor against int()
+    tree = parse_expression("lift(" + "0" * 5000 + "3u^" + "0" * 5000 + "2)")
+    assert tree.args == (IntPoly({2: 3}),)
+    longest = "9" * MAX_COEFFICIENT_DIGITS
+    assert parse_expression(f"lift({longest})").args == (IntPoly({0: int(longest)}),)
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse_expression(f"lift(u + 1{longest})")
+    assert info.value.column == 10
 
 
 def test_quotient_result_is_not_a_class():
