@@ -10,18 +10,26 @@ is impossible by construction.
 
 Canonical text form (the output contract of the whole package): descending
 powers, ``^`` for exponents, ``1`` denominators omitted, e.g.
-``(u^2 + 1)/(u - 1)``.
+``(u^2 + 1)/(u - 1)``.  One reader, ``LiteralReader``, turns text back
+into values: ``IntPoly.parse``, ``RationalU.parse`` and the expression
+language share its grammar and its bound of MAX_COEFFICIENT_DIGITS digits
+on every integer.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from types import MappingProxyType
+from typing import NamedTuple
 
-from .errors import DivisionByZero, NonIntegerExpansion, PoleAtPoint
+from .errors import (
+    DivisionByZero,
+    ExpressionSyntaxError,
+    NonIntegerExpansion,
+    PoleAtPoint,
+)
 
 #: Degree of the zero polynomial.  Compares below every integer.
 NEG_INFINITY = float("-inf")
@@ -218,41 +226,11 @@ class IntPoly:
         return render_terms((e, self._coeffs[e])
                             for e in sorted(self._coeffs, reverse=True))
 
-    # -- parsing -----------------------------------------------------------
-
-    _TERM_RE = re.compile(
-        r"(?P<sign>[+-])(?:"
-        r"(?P<coeff>\d+)\*?(?P<var1>u(?:\^(?P<exp1>\d+))?)?"
-        r"|(?P<var2>u(?:\^(?P<exp2>\d+))?)"
-        r")"
-    )
-
     @classmethod
     def parse(cls, text: str) -> "IntPoly":
-        """Inverse of str() for the canonical form; tolerant of spacing
-        and of an explicit ``*`` between coefficient and variable."""
-        compact = text.replace(" ", "").replace("\t", "")
-        if not compact:
-            raise ValueError("empty polynomial text")
-        if compact[0] not in "+-":
-            compact = "+" + compact
-        out = {}
-        pos = 0
-        while pos < len(compact):
-            match = cls._TERM_RE.match(compact, pos)
-            if not match or match.end() == match.start():
-                raise ValueError(f"cannot parse polynomial {text!r} at {pos}")
-            sign = -1 if match.group("sign") == "-" else 1
-            coeff = match.group("coeff")
-            var = match.group("var1") or match.group("var2")
-            exp = match.group("exp1") or match.group("exp2")
-            value = sign * (int(coeff) if coeff else 1)
-            exponent = 0
-            if var:
-                exponent = int(exp) if exp else 1
-            out[exponent] = out.get(exponent, 0) + value
-            pos = match.end()
-        return cls(out)
+        """Inverse of str(); see LiteralReader for the grammar."""
+        reader = LiteralReader(text)
+        return reader.finish(reader.parse_poly())
 
 
 #: The trivial gcd as _common_factor returns it; _divide tests it by identity.
@@ -582,11 +560,9 @@ class RationalU:
 
     @classmethod
     def parse(cls, text: str) -> "RationalU":
-        """Parse the canonical form ``P`` or ``P/Q`` with optional parens."""
-        num_text, den_text = _split_fraction(text)
-        num = IntPoly.parse(num_text)
-        den = IntPoly.one() if den_text is None else IntPoly.parse(den_text)
-        return cls(num, den)
+        """Inverse of str(); see LiteralReader for the grammar."""
+        reader = LiteralReader(text)
+        return reader.finish(reader.parse_fraction())
 
 
 def _product(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RationalU:
@@ -598,35 +574,158 @@ def _product(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RationalU:
                               _divide(b, g2) * _divide(d, g1))
 
 
-def _split_fraction(text: str):
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-        elif ch == "/" and depth == 0:
-            return _strip_parens(text[:i]), _strip_parens(text[i + 1:])
-    if depth != 0:
-        raise ValueError(f"unbalanced parentheses in {text!r}")
-    return _strip_parens(text), None
+# ---------------------------------------------------------------------------
+# reading polynomial and fraction text
+
+#: Most digits of any integer in polynomial or fraction text, leading zeros
+#: not counted, checked before int() sees it.  The calculus and the zeta
+#: engine only add and multiply by small polynomials, so every printed
+#: result stays far below Python's 4300-digit limit on integer-string
+#: conversion.
+MAX_COEFFICIENT_DIGITS = 1000
+
+_SYMBOLS = "(),+-*/^"
 
 
-def _strip_parens(text: str) -> str:
-    text = text.strip()
-    while text.startswith("(") and text.endswith(")"):
+class _Token(NamedTuple):
+    kind: str  # "name", "int", one of the symbols, or "end of input"
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text: str):
+    tokens = []
+    line, line_start, i = 1, 0, 0
+    while i < len(text):
+        ch, j = text[i], i + 1
+        if ch in _SYMBOLS:
+            kind = ch
+        elif "0" <= ch <= "9":  # ASCII only: str.isdigit() also takes "²"
+            kind = "int"
+            while j < len(text) and "0" <= text[j] <= "9":
+                j += 1
+        elif ch.isalpha() or ch == "_":
+            kind = "name"
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+        elif ch.isspace():
+            if ch == "\n":
+                line, line_start = line + 1, j
+            i = j
+            continue
+        else:
+            raise ExpressionSyntaxError(f"unexpected character {ch!r}",
+                                        line, i - line_start + 1)
+        tokens.append(_Token(kind, text[i:j], line, i - line_start + 1))
+        i = j
+    tokens.append(_Token("end of input", "", line, len(text) - line_start + 1))
+    return tokens
+
+
+class LiteralReader:
+    """Reader of polynomial and fraction text, with one token of lookahead:
+
+        poly     := "(" poly ")" | ["+" | "-"] term (("+" | "-") term)*
+        term     := integer ["*"] ["u" ["^" integer]] | "u" ["^" integer]
+        fraction := poly ["/" ("(" poly ")" | term)]
+
+    Spacing is free.  Every integer has at most MAX_COEFFICIENT_DIGITS
+    digits.  Errors are ExpressionSyntaxError (a ValueError) with line and
+    column.  ``IntPoly.parse`` and ``RationalU.parse`` read a whole text as
+    one poly or fraction; the expression language subclasses the reader.
+    """
+
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect(self, kind: str) -> _Token:
+        token = self.peek()
+        if token.kind != kind:
+            raise ExpressionSyntaxError(
+                f"unexpected {token.text or 'end of input'!r}",
+                token.line, token.column, expected=(kind,))
+        return self.advance()
+
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of ``kind``."""
+        if self.peek().kind != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def finish(self, value):
+        """value, once the whole text is read."""
+        self.expect("end of input")
+        return value
+
+    def bounded_int(self) -> int:
+        """The next integer token, of at most MAX_COEFFICIENT_DIGITS digits."""
+        token = self.expect("int")
+        digits = token.text.lstrip("0") or "0"
+        # the length test keeps int() away from arbitrarily long digit strings
+        if len(digits) > MAX_COEFFICIENT_DIGITS:
+            raise ExpressionSyntaxError(
+                f"integer longer than {MAX_COEFFICIENT_DIGITS} digits",
+                token.line, token.column)
+        return int(digits)
+
+    def exponent(self) -> int:
+        """The integer after a ``^``."""
+        return self.bounded_int()
+
+    def parse_poly(self) -> IntPoly:
+        # "(" poly ")" read without recursion, so no nesting depth is too deep
         depth = 0
-        for i, ch in enumerate(text):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    return text  # outer parens do not match each other
-        text = text[1:-1].strip()
-    return text
+        while self.accept("("):
+            depth += 1
+        coeffs = {}
+        sign = 1
+        if self.peek().kind in ("+", "-"):
+            sign = -1 if self.advance().kind == "-" else 1
+        while True:
+            exponent, coeff = self.parse_term()
+            coeffs[exponent] = coeffs.get(exponent, 0) + sign * coeff
+            if self.peek().kind not in ("+", "-"):
+                break
+            sign = -1 if self.advance().kind == "-" else 1
+        for _ in range(depth):
+            self.expect(")")
+        return IntPoly(coeffs)
+
+    def parse_term(self):
+        """(exponent, coefficient) of one term c*u^e."""
+        coeff, token = 1, self.peek()
+        if token.kind == "int":
+            coeff = self.bounded_int()
+            self.accept("*")
+        elif token.text != "u":
+            raise ExpressionSyntaxError(
+                f"expected a polynomial term, found "
+                f"{token.text or 'end of input'!r}",
+                token.line, token.column, expected=("integer", "u"))
+        if self.peek().text != "u":
+            return 0, coeff
+        self.advance()
+        return (self.exponent() if self.accept("^") else 1), coeff
+
+    def parse_fraction(self) -> RationalU:
+        numerator = self.parse_poly()
+        if not self.accept("/"):
+            return RationalU(numerator)
+        if self.peek().kind == "(":
+            return RationalU(numerator, self.parse_poly())
+        exponent, coeff = self.parse_term()
+        return RationalU(numerator, IntPoly.monomial(exponent, coeff))
 
 
 # ---------------------------------------------------------------------------

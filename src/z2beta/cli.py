@@ -92,9 +92,13 @@ def _parse_range(text: str):
     if not sep:
         raise ToolkitError(f"bad range {text!r}, expected NMIN..NMAX")
     try:
-        return int(low), int(high)
+        n_min, n_max = int(low), int(high)
     except ValueError as exc:
         raise ToolkitError(f"bad range {text!r}: {exc}") from exc
+    if not 0 <= n_max - n_min <= MAX_ORDER:
+        raise ToolkitError(f"bad range {text!r}, expected NMIN <= NMAX "
+                           f"<= NMIN + {MAX_ORDER}")
+    return n_min, n_max
 
 
 def _cmd_homology(args) -> int:
@@ -164,9 +168,10 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-#: Upper bound of N, ``--order`` and ``--expand``, checked before any work:
-#: at this size ``oracle N --order 1024 --compare-dl`` takes seconds (about
-#: 9 s for N = 3 on a 2-CPU VM).
+#: Upper bound of N, ``--order``, ``--expand`` and the span NMAX - NMIN of
+#: ``homology --range``, checked before any work: at this size ``oracle N
+#: --order 1024 --compare-dl`` takes about a second (1.1 s for N = 3 on a
+#: 2-CPU VM).
 MAX_ORDER = 1024
 
 

@@ -13,9 +13,11 @@ Grammar (one token of lookahead):
 Each function maps one-to-one onto a calculus operation.  Parsing is
 schema-driven: the expected argument kinds are known from the function name,
 which is what lets a bare ``u^2 + 1`` act as a literal inside ``lift(...)``
-while everywhere else names must be calls or keywords.  A ``^`` exponent or
-an integer argument above MAX_EXPONENT, and a polynomial coefficient of more
-than MAX_COEFFICIENT_DIGITS digits, are syntax errors, raised before any
+while everywhere else names must be calls or keywords.  The parser extends
+``algebra.LiteralReader``, so the tokens, the literal grammar and the digit
+bound ``algebra.MAX_COEFFICIENT_DIGITS`` are those of ``IntPoly.parse`` and
+``RationalU.parse``.  On top of that, a ``^`` exponent or an integer
+argument above ``_Parser.MAX_EXPONENT`` is a syntax error, raised before any
 evaluation.
 """
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import IntPoly, RationalU
+from .algebra import LiteralReader
 from .calculus import (
     ACTION_FIXED,
     ACTION_FREE,
@@ -68,15 +70,6 @@ SIGNATURES = {
 SPHERE_KEYWORDS = {"free": ACTION_FREE, "fixed": ACTION_FIXED,
                    "trivial": ACTION_TRIVIAL}
 
-#: Largest ``^`` exponent and largest integer argument (a dimension, hence
-#: an exponent of u too), checked at parse time: work grows with them.
-MAX_EXPONENT = 1024
-
-#: Most digits of a polynomial coefficient, checked at parse time.  The
-#: calculus only adds coefficients, so every printed result stays far below
-#: Python's 4300-digit limit on integer-string conversion.
-MAX_COEFFICIENT_DIGITS = 1000
-
 
 @dataclass(frozen=True)
 class Expression:
@@ -90,110 +83,27 @@ class Expression:
         return f"{self.func}({', '.join(map(str, self.args))})"
 
 
-# ---------------------------------------------------------------------------
-# tokenizer
+class _Parser(LiteralReader):
+    """The expression grammar over the literal grammar of LiteralReader."""
 
-_SYMBOLS = "(),+-*/^"
+    #: Largest ``^`` exponent and largest integer argument (a dimension,
+    #: hence an exponent of u too), checked at parse time: the work of
+    #: ``lift`` and ``affprod`` grows with them.
+    MAX_EXPONENT = 1024
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "int", one of the symbols, or "end"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
+    def exponent(self) -> int:
         token = self.peek()
-        if token.kind != kind:
+        value = self.bounded_int()
+        if value > self.MAX_EXPONENT:
             raise ExpressionSyntaxError(
-                f"unexpected {token.text or 'end of input'!r}",
-                token.line, token.column, expected=(kind,))
-        return self.advance()
-
-    def bounded_int(self, max_digits: int | None = None) -> int:
-        """The next integer token, at most MAX_EXPONENT, or with at most
-        ``max_digits`` digits when that is given."""
-        token = self.expect("int")
-        digits = token.text.lstrip("0") or "0"
-        # the length test keeps int() away from arbitrarily long digit strings
-        if max_digits is not None:
-            if len(digits) > max_digits:
-                raise ExpressionSyntaxError(
-                    f"integer longer than the limit of {max_digits} digits",
-                    token.line, token.column)
-            return int(digits)
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            raise ExpressionSyntaxError(
-                f"integer larger than the limit {MAX_EXPONENT}",
+                f"integer larger than the limit {self.MAX_EXPONENT}",
                 token.line, token.column)
-        return int(digits)
+        return value
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Expression:
-        expr = self.parse_expr()
-        token = self.peek()
-        if token.kind != "end":
-            raise ExpressionSyntaxError(f"trailing input {token.text!r}",
-                                        token.line, token.column,
-                                        expected=("end of input",))
-        return expr
+        return self.finish(self.parse_expr())
 
     def parse_expr(self) -> Expression:
         token = self.expect("name")
@@ -217,90 +127,22 @@ class _Parser:
         return Expression(token.text, tuple(args))
 
     def parse_arg(self, kind: str):
-        token = self.peek()
         if kind == EXPR:
             return self.parse_expr()
         if kind == INT:
-            sign = 1
-            if token.kind == "-":
-                self.advance()
-                sign = -1
-            return sign * self.bounded_int()
-        if kind == SPHERE_ACTION:
+            return (-1 if self.accept("-") else 1) * self.exponent()
+        if kind in (SPHERE_ACTION, CURVE_ACTION):
+            words = SPHERE_KEYWORDS if kind == SPHERE_ACTION else CURVE_ACTIONS
             word = self.expect("name")
-            if word.text not in SPHERE_KEYWORDS:
+            if word.text not in words:
                 raise ArityError(f"unknown action {word.text!r}",
-                                 word.line, word.column,
-                                 expected=sorted(SPHERE_KEYWORDS))
-            return word.text
-        if kind == CURVE_ACTION:
-            word = self.expect("name")
-            if word.text not in CURVE_ACTIONS:
-                raise ArityError(f"unknown curve action {word.text!r}",
-                                 word.line, word.column,
-                                 expected=sorted(CURVE_ACTIONS))
+                                 word.line, word.column, expected=sorted(words))
             return word.text
         if kind == POLY:
             return self.parse_poly()
         if kind == RATIONAL:
-            numerator = self.parse_poly()
-            if self.peek().kind == "/":
-                self.advance()
-                denominator = self.parse_denominator()
-                return RationalU(numerator, denominator)
-            return RationalU(numerator)
+            return self.parse_fraction()
         raise AssertionError(f"unhandled argument kind {kind}")
-
-    # -- polynomial literals -------------------------------------------------
-
-    def parse_poly(self) -> IntPoly:
-        if self.peek().kind == "(":
-            self.advance()
-            inner = self.parse_poly()
-            self.expect(")")
-            return inner
-        total = IntPoly.zero()
-        sign = 1
-        token = self.peek()
-        if token.kind in "+-":
-            sign = -1 if token.kind == "-" else 1
-            self.advance()
-        total = total + sign * self.parse_term()
-        while self.peek().kind in "+-":
-            sign = -1 if self.advance().kind == "-" else 1
-            total = total + sign * self.parse_term()
-        return total
-
-    def parse_term(self) -> IntPoly:
-        token = self.peek()
-        coeff = 1
-        has_coeff = False
-        if token.kind == "int":
-            coeff = self.bounded_int(MAX_COEFFICIENT_DIGITS)
-            has_coeff = True
-            if self.peek().kind == "*":
-                self.advance()
-        token = self.peek()
-        if token.kind == "name" and token.text == "u":
-            self.advance()
-            exponent = 1
-            if self.peek().kind == "^":
-                self.advance()
-                exponent = self.bounded_int()
-            return IntPoly.monomial(exponent, coeff)
-        if has_coeff:
-            return IntPoly.monomial(0, coeff)
-        raise ExpressionSyntaxError(
-            f"expected a polynomial term, found {token.text or 'end of input'!r}",
-            token.line, token.column, expected=("integer", "u"))
-
-    def parse_denominator(self) -> IntPoly:
-        if self.peek().kind == "(":
-            self.advance()
-            inner = self.parse_poly()
-            self.expect(")")
-            return inner
-        return self.parse_term()
 
 
 def parse_expression(text: str) -> Expression:

@@ -96,8 +96,9 @@ class ConstraintMismatch(ToolkitError):
 # ---------------------------------------------------------------------------
 # expression front end
 
-class ExpressionSyntaxError(ToolkitError):
-    """Parse error with position information."""
+class ExpressionSyntaxError(ToolkitError, ValueError):
+    """Parse error with position information, in expression or polynomial
+    text."""
 
     def __init__(self, message, line=1, column=0, expected=()):
         super().__init__(message)

@@ -34,6 +34,7 @@ from .errors import (
     FixedSetNotSubcomplex,
     InvalidComplex,
     TailNotStabilized,
+    ToolkitError,
 )
 
 #: How far below zero the series extraction looks; stabilization below zero
@@ -89,6 +90,9 @@ class GCWComplex:
             raise InvalidComplex("complex data must be a JSON object")
         try:
             cells = [(c["id"], c["dim"]) for c in data.get("cells", [])]
+            # JSON integers only: a bool, float or string is refused, not cast
+            if any(type(dim) is not int for _, dim in cells):
+                raise InvalidComplex("cell dimensions must be integers")
             return cls(cells,
                        boundary=data.get("boundary", {}),
                        sigma=data.get("sigma", {}),
@@ -324,10 +328,12 @@ class HomologyResult:
 
 
 def homology_table(x: GCWComplex, n_min: int, n_max: int) -> HomologyResult:
+    if n_min > n_max:
+        raise ToolkitError(f"empty degree range {n_min}..{n_max}")
     data = _ChainData(x)
     dims = {n: _homology_dim(data, n) for n in range(n_max, n_min - 1, -1)}
     stable = None
-    if n_min <= -2 and dims[n_min] == dims[n_min + 1]:
+    if n_min <= -2 and n_min < n_max and dims[n_min] == dims[n_min + 1]:
         stable = dims[n_min]
     return HomologyResult(dims, stable)
 

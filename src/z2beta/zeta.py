@@ -91,7 +91,7 @@ def _parse_virtual_class(data, where: str) -> VirtualClass:
     except ValueError as exc:
         raise MalformedInput(f"{where}: {exc}") from exc
     tail = data["tail"]
-    if not isinstance(tail, int):
+    if type(tail) is not int:
         raise MalformedInput(f"{where}: tail must be an integer")
     return VirtualClass(poly, tail)
 
@@ -116,7 +116,7 @@ def load_resolution(source) -> ResolutionData:
         raise MalformedInput("resolution data must be a JSON object")
 
     ambient = data.get("ambient_dim")
-    if not isinstance(ambient, int) or ambient < 1:
+    if type(ambient) is not int or ambient < 1:
         raise MalformedInput("ambient_dim must be a positive integer")
 
     divisor_entries = data.get("divisors", [])
@@ -129,9 +129,12 @@ def load_resolution(source) -> ResolutionData:
     seen = set()
     for entry in divisor_entries:
         try:
-            div = Divisor(str(entry["id"]), int(entry["N"]), int(entry["nu"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            div = Divisor(str(entry["id"]), entry["N"], entry["nu"])
+        except (KeyError, TypeError) as exc:
             raise MalformedInput(f"bad divisor entry {entry!r}") from exc
+        # JSON integers only: a bool, float or string is refused, not cast
+        if type(div.N) is not int or type(div.nu) is not int:
+            raise MalformedInput(f"divisor {div.id!r}: N and nu must be integers")
         if div.N < 1 or div.nu < 1:
             raise MalformedInput(f"divisor {div.id!r}: N and nu must be >= 1")
         if div.id in seen:
@@ -160,7 +163,7 @@ def load_resolution(source) -> ResolutionData:
         for i in ids:
             true_m = gcd(true_m, by_id[i].N)
         if "m" in entry:
-            if not isinstance(entry["m"], int):
+            if type(entry["m"]) is not int:
                 raise MalformedInput(f"stratum {sorted(ids)}: m must be an integer")
             if entry["m"] != true_m:
                 raise BadGcd(f"stratum {sorted(ids)}: stored m = {entry['m']} "
@@ -417,10 +420,11 @@ def x2_plus_y4_resolution() -> ResolutionData:
 
     Two blowings-up give two exceptional components with multiplicities
     (N, nu) = (2, 2) and (4, 3).  All gcds are even and the germ is
-    nonnegative, so every minus covering is empty.  Both one-divisor strata
-    are circles minus two points whose double covers are the circle with the
-    two fixed closure points removed (class u); the intersection point lifts
-    to a swapped pair (class 1).
+    nonnegative, so every minus covering is empty.  Each exceptional
+    component is a projective line, a circle, and meets the other in one
+    point, so both one-divisor strata are lines (base class u).  Over a
+    line the double cover is two copies of it exchanged by the involution
+    (class u); the intersection point lifts to a swapped pair (class 1).
     """
     return load_resolution({
         "ambient_dim": 2,

@@ -17,7 +17,12 @@ from z2beta.algebra import (
 )
 from z2beta.arcs import MonomialGerm, oracle_zeta, oracle_zeta_naive
 from z2beta.calculus import VirtualClass
-from z2beta.errors import DivisionByZero, NonIntegerExpansion, PoleAtPoint
+from z2beta.errors import (
+    DivisionByZero,
+    ExpressionSyntaxError,
+    NonIntegerExpansion,
+    PoleAtPoint,
+)
 
 U = IntPoly.u()
 
@@ -95,6 +100,22 @@ def test_poly_parse_rejects_garbage():
     for bad in ["", "u^-1", "x + 1", "u^"]:
         with pytest.raises(ValueError):
             IntPoly.parse(bad)
+
+
+def test_parse_shares_the_literal_grammar():
+    # the grammar of the expression language's literals, read whole
+    assert IntPoly.parse("(u + 1)") == U + 1
+    assert RationalU.parse("u^2 + 1/(u - 1)") == RationalU(U ** 2 + 1, U - 1)
+    assert RationalU.parse("1/2u") == RationalU(1, 2 * U)
+    for bad in ["1/u - 1", "3 4", "u/(u - 1)/u", "(u + 1", "\u00b2"]:
+        with pytest.raises(ExpressionSyntaxError):
+            RationalU.parse(bad)
+    longest = "9" * algebra.MAX_COEFFICIENT_DIGITS
+    assert IntPoly.parse(f"{longest}u^{longest}") == \
+        IntPoly.monomial(int(longest), int(longest))
+    for text in [f"1{longest}", f"u^1{longest}", f"1/1{longest}"]:
+        with pytest.raises(ExpressionSyntaxError):
+            RationalU.parse(text)
 
 
 def test_poly_gcd_primitive():

@@ -11,25 +11,40 @@ from z2beta.cli import format_class, format_output, format_window, main
 U = IntPoly.u()
 
 
+X2Y4 = {
+    "ambient_dim": 2,
+    "divisors": [{"id": "E1", "N": 2, "nu": 2},
+                 {"id": "E2", "N": 4, "nu": 3}],
+    "strata": [
+        {"I": ["E1"], "base": "u",
+         "cov_plus": {"poly": "u", "tail": 0},
+         "cov_minus": {"poly": "0", "tail": 0}},
+        {"I": ["E2"], "base": "u",
+         "cov_plus": {"poly": "u", "tail": 0},
+         "cov_minus": {"poly": "0", "tail": 0}},
+        {"I": ["E1", "E2"], "base": "1",
+         "cov_plus": {"poly": "1", "tail": 0},
+         "cov_minus": {"poly": "0", "tail": 0}},
+    ],
+}
+
+
+POINT = {"cells": [{"id": "v", "dim": 0}]}
+
+
+def _x2y4_with(divisor=None, base=None):
+    """X2Y4 with fields of the first divisor, or every base, replaced."""
+    data = json.loads(json.dumps(X2Y4))
+    data["divisors"][0].update(divisor or {})
+    for stratum in data["strata"]:
+        stratum["base"] = base or stratum["base"]
+    return data
+
+
 @pytest.fixture()
 def x2y4_file(tmp_path):
     path = tmp_path / "x2y4.json"
-    path.write_text(json.dumps({
-        "ambient_dim": 2,
-        "divisors": [{"id": "E1", "N": 2, "nu": 2},
-                     {"id": "E2", "N": 4, "nu": 3}],
-        "strata": [
-            {"I": ["E1"], "base": "u",
-             "cov_plus": {"poly": "u", "tail": 0},
-             "cov_minus": {"poly": "0", "tail": 0}},
-            {"I": ["E2"], "base": "u",
-             "cov_plus": {"poly": "u", "tail": 0},
-             "cov_minus": {"poly": "0", "tail": 0}},
-            {"I": ["E1", "E2"], "base": "1",
-             "cov_plus": {"poly": "1", "tail": 0},
-             "cov_minus": {"poly": "0", "tail": 0}},
-        ],
-    }), encoding="utf-8")
+    path.write_text(json.dumps(X2Y4), encoding="utf-8")
     return path
 
 
@@ -225,6 +240,18 @@ def test_usage_error_is_input_error(capsys):
     (["eval", "lift(u^100000000)"], None),
     (["eval", "lift(u^" + "9" * 5000 + ")"], None),
     (["eval", "lift(" + "1" * 5000 + ")"], None),
+    (["zeta", "{file}"], _x2y4_with({"N": 2.9})),
+    (["zeta", "{file}"], _x2y4_with({"N": "4"})),
+    (["zeta", "{file}"], _x2y4_with({"nu": True})),
+    (["homology", "{file}"], {"cells": [{"id": "v", "dim": 0},
+                                        {"id": "e", "dim": 1.9}]}),
+    (["homology", "{file}"], {"cells": [{"id": "v", "dim": "0"}]}),
+    (["homology", "{file}", "--range=-2..-5"], POINT),
+    (["homology", "{file}", "--range=3..1"], POINT),
+    (["homology", "{file}", "--range=-600..600"], POINT),
+    (["zeta", "{file}", "--sign", "naive", "--expand", "8"],
+     _x2y4_with(base="9" * 4300)),
+    (["eval", "lift(\u00b2)"], None),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -232,7 +259,11 @@ def test_usage_error_is_input_error(capsys):
         "negative-cell-dim", "oracle-order-above-max",
         "zeta-expand-above-max", "eval-exponent-above-max",
         "eval-exponent-digits-above-max",
-        "eval-coefficient-digits-above-max"])
+        "eval-coefficient-digits-above-max", "divisor-N-float",
+        "divisor-N-string", "divisor-nu-bool", "cell-dim-float",
+        "cell-dim-string", "range-descending-negative",
+        "range-descending", "range-span-above-max",
+        "resolution-base-digits-above-max", "eval-superscript-digit"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

@@ -2,14 +2,9 @@
 
 import pytest
 
-from z2beta.algebra import IntPoly, RationalU
+from z2beta.algebra import MAX_COEFFICIENT_DIGITS, IntPoly, RationalU
 from z2beta.calculus import Atom, atom_class
-from z2beta.dsl import (
-    MAX_COEFFICIENT_DIGITS,
-    Expression,
-    evaluate,
-    parse_expression,
-)
+from z2beta.dsl import Expression, evaluate, parse_expression
 from z2beta.errors import (
     ArityError,
     ExpressionSyntaxError,

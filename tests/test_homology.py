@@ -14,6 +14,7 @@ from z2beta.errors import (
     AssertionMissing,
     FixedSetNotSubcomplex,
     InvalidComplex,
+    ToolkitError,
 )
 from z2beta.homology import (
     GCWComplex,
@@ -113,6 +114,15 @@ def test_homology_table_object():
     assert table.group_dims[3] == 0
     assert table.group_dims[2] == 1
     assert table.stable_negative_dim == 2
+
+
+def test_homology_table_ranges():
+    s2 = sphere_complex(2, "trivial")
+    table = homology_table(s2, -3, -3)  # one degree: no stability claim
+    assert table.group_dims == {-3: 2} and table.stable_negative_dim is None
+    for n_min, n_max in [(-2, -5), (3, 1)]:
+        with pytest.raises(ToolkitError):
+            homology_table(s2, n_min, n_max)
 
 
 # ---------------------------------------------------------------------------
