@@ -103,11 +103,6 @@ def _parse_range(text: str):
 
 def _cmd_homology(args) -> int:
     complex_ = homology.GCWComplex.load(args.file)
-    report = homology.validate_complex(complex_)
-    if report:
-        for line in report:
-            print(f"invalid: {line}", file=sys.stderr)
-        return 1
     if args.range:
         n_min, n_max = _parse_range(args.range)
     else:

@@ -18,7 +18,8 @@ while everywhere else names must be calls or keywords.  The parser extends
 bound ``algebra.MAX_COEFFICIENT_DIGITS`` are those of ``IntPoly.parse`` and
 ``RationalU.parse``.  On top of that, a ``^`` exponent or an integer
 argument above ``_Parser.MAX_EXPONENT`` is a syntax error, raised before any
-evaluation.
+evaluation, and so is a call nested more than ``_Parser.MAX_DEPTH`` deep,
+which keeps the recursion of both the parser and ``evaluate`` shallow.
 """
 
 from __future__ import annotations
@@ -91,6 +92,10 @@ class _Parser(LiteralReader):
     #: ``lift`` and ``affprod`` grows with them.
     MAX_EXPONENT = 1024
 
+    #: Most calls nested in one another, checked as each call is opened.
+    MAX_DEPTH = 100
+    depth = 0  # calls open at the current token
+
     def exponent(self) -> int:
         token = self.peek()
         value = self.bounded_int()
@@ -111,8 +116,13 @@ class _Parser(LiteralReader):
             raise UnknownAtom(f"unknown function {token.text!r}",
                               token.line, token.column,
                               expected=sorted(SIGNATURES))
+        if self.depth == self.MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"calls nested more than {self.MAX_DEPTH} deep",
+                token.line, token.column)
         signature = SIGNATURES[token.text]
         self.expect("(")
+        self.depth += 1
         args = []
         for index, kind in enumerate(signature):
             if index > 0:
@@ -124,6 +134,7 @@ class _Parser(LiteralReader):
                 f"{token.text} takes {len(signature)} argument(s)",
                 closing.line, closing.column, expected=(")",))
         self.advance()
+        self.depth -= 1
         return Expression(token.text, tuple(args))
 
     def parse_arg(self, kind: str):

@@ -36,10 +36,6 @@ class InvalidComplex(ToolkitError):
     """The cellular data violates an invariant; the message lists them."""
 
 
-class TailNotStabilized(ToolkitError):
-    """The negative part of a homology table did not settle in the window."""
-
-
 class FixedSetNotSubcomplex(ToolkitError):
     """The involution-fixed cells are not closed under the boundary map."""
 

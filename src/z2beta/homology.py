@@ -17,6 +17,14 @@ total differential restricted to those blocks (sigma is an involution, so
 the 1 + sigma block is symmetric), and over F2 a matrix and its transpose
 have the same rank; one builder therefore serves both directions.
 
+For every n <= -1 the degree-n piece and the pieces next to it are all the
+blocks C_0 .. C_top, so the differentials in and out are the same matrices:
+H_{-1} is the whole negative tail, exactly, with no stabilisation window.
+
+A GCWComplex is immutable and its constructor runs ``validate_complex``,
+so each complex is validated once.  Its bases and bitmask differentials
+are built once, on its first homology query.
+
 Ranks are taken by dense Gaussian elimination over F2 with Python integers
 as bit rows; the curated complexes have well under a thousand cells.
 """
@@ -24,8 +32,9 @@ as bit rows; the curated complexes have well under a thousand cells.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from .calculus import VirtualClass
 from .algebra import IntPoly
@@ -33,26 +42,27 @@ from .errors import (
     AssertionMissing,
     FixedSetNotSubcomplex,
     InvalidComplex,
-    TailNotStabilized,
     ToolkitError,
 )
 
-#: How far below zero the series extraction looks; stabilization below zero
-#: is exact, so two agreeing values suffice.
-DEFAULT_WINDOW = 4
+#: Largest cell dimension, as ``cli.MAX_ORDER``: ``homology --series`` on a
+#: lone cell of this dimension takes about 2 s on a 2-CPU VM.
+MAX_DIMENSION = 1024
 
 
 class GCWComplex:
-    """A finite CW complex over F2 with a cellular involution.
+    """A finite CW complex over F2 with a cellular involution, valid and
+    immutable once built.
 
-    ``cells`` maps id -> dimension (>= 0), ``boundary`` maps id -> frozenset
-    of ids one dimension down (already reduced mod 2), ``sigma`` is the
-    involution (missing entries mean fixed cells).  ``fixed_is_geometric`` is
-    a caller assertion that the sigma-fixed cells model the geometric fixed
-    set.
+    ``cells`` maps id -> dimension (0 .. MAX_DIMENSION), ``boundary`` maps
+    id -> frozenset of ids one dimension down (already reduced mod 2),
+    ``sigma`` is the involution (missing entries mean fixed cells); all
+    three are read-only mappings.  ``fixed_is_geometric`` is a caller
+    assertion that the sigma-fixed cells model the geometric fixed set.
+    The constructor raises InvalidComplex naming every violated invariant.
     """
 
-    __slots__ = ("cells", "boundary", "sigma", "fixed_is_geometric")
+    __slots__ = ("cells", "boundary", "sigma", "fixed_is_geometric", "_chains")
 
     def __init__(self, cells, boundary=None, sigma=None, fixed_is_geometric=False):
         if isinstance(cells, dict):
@@ -65,8 +75,9 @@ class GCWComplex:
                 if cell_id in cell_map:
                     raise InvalidComplex(f"duplicate cell id {cell_id!r}")
                 cell_map[str(cell_id)] = int(dim)
-        if min(cell_map.values(), default=0) < 0:
-            raise InvalidComplex("cell dimensions must be >= 0")
+        if any(not 0 <= d <= MAX_DIMENSION for d in cell_map.values()):
+            raise InvalidComplex(
+                f"cell dimensions must be from 0 to {MAX_DIMENSION}")
         bnd = {}
         for cell_id, faces in (boundary or {}).items():
             reduced = set()
@@ -77,10 +88,17 @@ class GCWComplex:
         invol = {c: c for c in cell_map}
         for a, b in (sigma or {}).items():
             invol[str(a)] = str(b)
-        self.cells = cell_map
-        self.boundary = bnd
-        self.sigma = invol
-        self.fixed_is_geometric = bool(fixed_is_geometric)
+        object.__setattr__(self, "cells", MappingProxyType(cell_map))
+        object.__setattr__(self, "boundary", MappingProxyType(bnd))
+        object.__setattr__(self, "sigma", MappingProxyType(invol))
+        object.__setattr__(self, "fixed_is_geometric", bool(fixed_is_geometric))
+        object.__setattr__(self, "_chains", None)
+        report = validate_complex(self)
+        if report:
+            raise InvalidComplex("invalid complex: " + "; ".join(report))
+
+    def __setattr__(self, *args):
+        raise AttributeError("GCWComplex is immutable")
 
     # -- structured text form ------------------------------------------------
 
@@ -123,11 +141,11 @@ class GCWComplex:
     def top_dimension(self) -> int:
         return max(self.cells.values(), default=-1)
 
-    def cells_of_dim(self, q: int) -> list:
-        return sorted(c for c, d in self.cells.items() if d == q)
-
-    def is_identity_involution(self) -> bool:
-        return all(a == b for a, b in self.sigma.items())
+    def _chain_data(self) -> "_ChainData":
+        """Bases and differentials, built on the first homology query."""
+        if self._chains is None:
+            object.__setattr__(self, "_chains", _ChainData(self))
+        return self._chains
 
 
 def validate_complex(x: GCWComplex) -> list:
@@ -171,12 +189,6 @@ def validate_complex(x: GCWComplex) -> list:
     return report
 
 
-def _require_valid(x: GCWComplex):
-    report = validate_complex(x)
-    if report:
-        raise InvalidComplex("; ".join(report))
-
-
 # ---------------------------------------------------------------------------
 # F2 linear algebra: a map is a list of column bitmasks
 
@@ -207,12 +219,14 @@ def _apply(columns, vector: int) -> int:
 
 
 class _ChainData:
-    """Cached bases and differentials of one complex."""
+    """Bases (cell ids sorted in each dimension) and bitmask differentials
+    of one complex."""
 
     def __init__(self, x: GCWComplex):
-        _require_valid(x)
         self.top = x.top_dimension
-        self.basis = {q: x.cells_of_dim(q) for q in range(self.top + 1)}
+        self.basis = {q: [] for q in range(self.top + 1)}
+        for cell in sorted(x.cells):
+            self.basis[x.cells[cell]].append(cell)
         index = {q: {c: i for i, c in enumerate(self.basis[q])}
                  for q in self.basis}
         self.dims = {q: len(self.basis[q]) for q in self.basis}
@@ -261,11 +275,8 @@ def _total_boundary(data: _ChainData, src_qs: range, dst_qs: range) -> list:
 
 def equivariant_homology(x: GCWComplex, n: int) -> int:
     """dim over F2 of the n-th equivariant Borel-Moore homology group."""
-    data = _ChainData(x)
-    return _homology_dim(data, n)
+    data = x._chain_data()
 
-
-def _homology_dim(data: _ChainData, n: int) -> int:
     def qs(m):  # the blocks C_q of degree m
         return range(max(0, m), data.top + 1)
 
@@ -284,11 +295,7 @@ def _homology_dim(data: _ChainData, n: int) -> int:
 
 def plain_homology(x: GCWComplex, n: int) -> int:
     """Ordinary cellular F2 homology dimension (the involution is ignored)."""
-    data = _ChainData(x)
-    return _plain_dim(data, n)
-
-
-def _plain_dim(data: _ChainData, n: int) -> int:
+    data = x._chain_data()
     if n < 0 or n > data.top:
         return 0
     rank_out = gf2_rank(data.boundary[n]) if n >= 1 else 0
@@ -303,7 +310,7 @@ def equivariant_cohomology(x: GCWComplex, n: int) -> int:
     differential from the blocks q <= n + 1 to the blocks q <= n, and has
     its rank; valid because the accepted complexes are compact.
     """
-    data = _ChainData(x)
+    data = x._chain_data()
 
     def qs(m):  # the blocks C^q of degree m
         return range(0, min(m, data.top) + 1)
@@ -320,27 +327,25 @@ def equivariant_cohomology(x: GCWComplex, n: int) -> int:
 
 @dataclass(frozen=True)
 class HomologyResult:
-    """A homology table: degree -> dimension, plus the stabilized value of
-    every degree below the computed window when it is known."""
+    """A homology table: degree -> dimension, plus the value of every degree
+    below the table when the table reaches -2 with at least two rows (every
+    degree <= -1 has the dimension of H_{-1})."""
 
     group_dims: dict
-    stable_negative_dim: int | None = field(default=None)
+    stable_negative_dim: int | None = None
 
 
 def homology_table(x: GCWComplex, n_min: int, n_max: int) -> HomologyResult:
     if n_min > n_max:
         raise ToolkitError(f"empty degree range {n_min}..{n_max}")
-    data = _ChainData(x)
-    dims = {n: _homology_dim(data, n) for n in range(n_max, n_min - 1, -1)}
-    stable = None
-    if n_min <= -2 and n_min < n_max and dims[n_min] == dims[n_min + 1]:
-        stable = dims[n_min]
+    dims = {n: equivariant_homology(x, n)
+            for n in range(n_max, n_min - 1, -1)}
+    stable = dims[n_min] if n_min <= -2 and n_min < n_max else None
     return HomologyResult(dims, stable)
 
 
 def fixed_subcomplex(x: GCWComplex) -> GCWComplex:
     """Subcomplex of involution-fixed cells, with the identity involution."""
-    _require_valid(x)
     if not x.fixed_is_geometric:
         raise AssertionMissing(
             "fixed_subcomplex requires the fixed_is_geometric assertion")
@@ -358,24 +363,14 @@ def fixed_subcomplex(x: GCWComplex) -> GCWComplex:
                       fixed_is_geometric=True)
 
 
-def equivariant_betti_series(x: GCWComplex, window: int = DEFAULT_WINDOW) -> VirtualClass:
+def equivariant_betti_series(x: GCWComplex) -> VirtualClass:
     """The equivariant Poincare series of a compact nonsingular complex, in
-    normal form P(u) + c*u/(u-1).
-
-    Dimensions are read from the top dimension down to -window; the bottom
-    two must agree (they always do for valid complexes, where the negative
-    part is exactly the homology of the fixed set).
+    normal form P(u) + c*u/(u-1), where c is the dimension of every degree
+    below zero (the homology of the fixed set).
     """
-    if window < 1:
-        raise ValueError("window must be positive")
-    data = _ChainData(x)
-    top = max(data.top, 0)
-    dims = {n: _homology_dim(data, n) for n in range(top, -window - 1, -1)}
-    if dims[-window] != dims[-window + 1]:
-        raise TailNotStabilized(
-            f"dims at {-window} and {-window + 1} differ: "
-            f"{dims[-window]} != {dims[-window + 1]}")
-    tail = dims[-window]
+    top = max(x.top_dimension, 0)
+    table = homology_table(x, -2, top)
+    dims, tail = table.group_dims, table.stable_negative_dim
     poly = IntPoly({n: dims[n] for n in range(1, top + 1)}) \
         + IntPoly({0: dims[0] - tail})
     return VirtualClass(poly, tail)
@@ -387,9 +382,7 @@ def product_with_trivial(x: GCWComplex, y: GCWComplex) -> GCWComplex:
     Cells are pairs, dimensions add, the boundary is the Leibniz sum mod 2
     and the involution acts on the first factor.
     """
-    _require_valid(x)
-    _require_valid(y)
-    if not y.is_identity_involution():
+    if any(a != b for a, b in y.sigma.items()):
         raise InvalidComplex("second factor must carry the identity involution")
 
     def pair_id(a: str, b: str) -> str:

@@ -252,6 +252,11 @@ def test_usage_error_is_input_error(capsys):
     (["zeta", "{file}", "--sign", "naive", "--expand", "8"],
      _x2y4_with(base="9" * 4300)),
     (["eval", "lift(\u00b2)"], None),
+    (["homology", "{file}"], {"cells": [{"id": "v", "dim": 20000}]}),
+    (["eval", "union(" * 500 + "point()" + ", point())" * 500], None),
+    (["homology", "{file}"], {"cells": [{"id": "v", "dim": 0},
+                                        {"id": "e", "dim": 1}],
+                              "sigma": {"v": "e", "e": "v"}}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -263,7 +268,9 @@ def test_usage_error_is_input_error(capsys):
         "divisor-N-string", "divisor-nu-bool", "cell-dim-float",
         "cell-dim-string", "range-descending-negative",
         "range-descending", "range-span-above-max",
-        "resolution-base-digits-above-max", "eval-superscript-digit"])
+        "resolution-base-digits-above-max", "eval-superscript-digit",
+        "cell-dim-above-max", "eval-nesting-above-max",
+        "invalid-complex-report"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

@@ -4,7 +4,7 @@ import pytest
 
 from z2beta.algebra import MAX_COEFFICIENT_DIGITS, IntPoly, RationalU
 from z2beta.calculus import Atom, atom_class
-from z2beta.dsl import Expression, evaluate, parse_expression
+from z2beta.dsl import Expression, _Parser, evaluate, parse_expression
 from z2beta.errors import (
     ArityError,
     ExpressionSyntaxError,
@@ -141,6 +141,22 @@ def test_integer_length_limits():
     with pytest.raises(ExpressionSyntaxError) as info:
         parse_expression(f"lift(u + 1{longest})")
     assert info.value.column == 10
+
+
+def test_nesting_depth_limit():
+    def nested(depth):  # ``depth`` calls, each inside the one before
+        return "union(" * (depth - 1) + "point()" + ", point())" * (depth - 1)
+
+    deepest = _Parser.MAX_DEPTH
+    assert evaluate(parse_expression(nested(deepest))).value \
+        == RationalU(deepest * U, U - 1)
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse_expression("\n" + nested(deepest + 1))
+    assert (info.value.line, info.value.column) == (2, 6 * deepest + 1)
+    # siblings do not add up: only calls open at the same time count
+    wide = "union(" + nested(deepest - 1) + ", " + nested(deepest - 1) + ")"
+    assert evaluate(parse_expression(wide)).value \
+        == RationalU(2 * (deepest - 1) * U, U - 1)
 
 
 def test_quotient_result_is_not_a_class():

@@ -16,7 +16,9 @@ from z2beta.errors import (
     InvalidComplex,
     ToolkitError,
 )
+import z2beta.homology as homology
 from z2beta.homology import (
+    MAX_DIMENSION,
     GCWComplex,
     equivariant_betti_series,
     equivariant_cohomology,
@@ -41,34 +43,76 @@ def test_valid_examples():
 
 
 def test_dimension_violation_reported():
-    bad = GCWComplex({"v": 0, "e": 1}, sigma={"v": "e", "e": "v"})
-    report = validate_complex(bad)
-    assert any("dimension" in line for line in report)
+    with pytest.raises(InvalidComplex, match="dimension"):
+        GCWComplex({"v": 0, "e": 1}, sigma={"v": "e", "e": "v"})
 
 
 def test_involution_violation_reported():
-    bad = GCWComplex({"a": 0, "b": 0, "c": 0},
-                     sigma={"a": "b", "b": "c", "c": "a"})
-    assert any("involution" in line for line in validate_complex(bad))
+    with pytest.raises(InvalidComplex, match="involution"):
+        GCWComplex({"a": 0, "b": 0, "c": 0},
+                   sigma={"a": "b", "b": "c", "c": "a"})
 
 
 def test_boundary_squared_violation_reported():
-    bad = GCWComplex({"v": 0, "e": 1, "f": 2},
-                     boundary={"f": ["e"], "e": ["v"]})
-    assert any("boundary of boundary" in line for line in validate_complex(bad))
+    with pytest.raises(InvalidComplex, match="boundary of boundary"):
+        GCWComplex({"v": 0, "e": 1, "f": 2},
+                   boundary={"f": ["e"], "e": ["v"]})
 
 
 def test_equivariance_violation_reported():
-    bad = GCWComplex({"v1": 0, "v2": 0, "e1": 1, "e2": 1},
-                     boundary={"e1": ["v1", "v2"], "e2": []},
-                     sigma={"e1": "e2", "e2": "e1"})
-    assert any("commute" in line for line in validate_complex(bad))
+    with pytest.raises(InvalidComplex, match="commute"):
+        GCWComplex({"v1": 0, "v2": 0, "e1": 1, "e2": 1},
+                   boundary={"e1": ["v1", "v2"], "e2": []},
+                   sigma={"e1": "e2", "e2": "e1"})
 
 
 def test_operations_refuse_invalid_input():
-    bad = GCWComplex({"v": 0, "e": 1}, sigma={"v": "e", "e": "v"})
-    with pytest.raises(InvalidComplex):
-        equivariant_homology(bad, 0)
+    # an invalid complex never exists, so no operation can receive one
+    with pytest.raises(InvalidComplex, match="invalid complex"):
+        GCWComplex({"v": 0, "e": 1}, sigma={"v": "e", "e": "v"})
+
+
+def test_cell_dimension_bound():
+    assert GCWComplex({"v": MAX_DIMENSION}).top_dimension == MAX_DIMENSION
+    for dim in (-1, MAX_DIMENSION + 1):
+        with pytest.raises(InvalidComplex, match="cell dimensions"):
+            GCWComplex({"v": dim})
+
+
+def test_validated_and_indexed_once_per_complex(monkeypatch):
+    calls, built = [], []
+    real = homology.validate_complex
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    class CountingChainData(homology._ChainData):
+        def __init__(self, x):
+            built.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(homology, "validate_complex", counting)
+    monkeypatch.setattr(homology, "_ChainData", CountingChainData)
+    cw = sphere_complex(2, "antipodal")
+    assert built == []  # the chain data waits for the first query
+    homology_table(cw, -3, 3)
+    equivariant_betti_series(cw)
+    equivariant_cohomology(cw, 1)
+    plain_homology(cw, 1)
+    assert calls == [cw] and built == [cw]
+
+
+def test_complex_is_immutable():
+    cw = sphere_complex(1, "antipodal")
+    for name in ("cells", "boundary", "sigma"):
+        with pytest.raises(TypeError):
+            getattr(cw, name)["c0+"] = "x"
+        with pytest.raises(AttributeError):
+            setattr(cw, name, {})
+    with pytest.raises(AttributeError):
+        cw.fixed_is_geometric = False
+    assert validate_complex(cw) == []
 
 
 def test_boundary_reduced_mod_two():
