@@ -99,18 +99,15 @@ def _parse_virtual_class(data, where: str) -> VirtualClass:
 def load_resolution(source) -> ResolutionData:
     """Read and validate resolution data.
 
-    ``source`` may be a mapping, a JSON string, or a path to a JSON file.
-    The gcd of multiplicities is recomputed per stratum and checked against
-    the stored value when one is present.
+    ``source`` is a mapping, or a path (``str`` or ``Path``) to a JSON
+    file.  The gcd of multiplicities is recomputed per stratum and checked
+    against the stored value when one is present.
     """
     data = source
     if isinstance(source, (str, Path)):
         try:
-            text = str(source)
-            if not text.lstrip().startswith("{"):
-                text = Path(source).read_text(encoding="utf-8")
-            data = json.loads(text)
-        except ValueError as exc:
+            data = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # or nested too deeply
             raise MalformedInput(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise MalformedInput("resolution data must be a JSON object")

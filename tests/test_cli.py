@@ -7,6 +7,7 @@ import pytest
 from z2beta.algebra import IntPoly, RationalU, laurent_expand
 from z2beta.calculus import Atom, atom_class
 from z2beta.cli import format_class, format_output, format_window, main
+from z2beta.homology import MAX_CELLS
 
 U = IntPoly.u()
 
@@ -257,6 +258,10 @@ def test_usage_error_is_input_error(capsys):
     (["homology", "{file}"], {"cells": [{"id": "v", "dim": 0},
                                         {"id": "e", "dim": 1}],
                               "sigma": {"v": "e", "e": "v"}}),
+    (["homology", "{file}"], "[" * 100000 + "]" * 100000),
+    (["zeta", "{file}"], "[" * 100000 + "]" * 100000),
+    (["homology", "{file}"], {"cells": [{"id": f"v{i}", "dim": 0}
+                                        for i in range(MAX_CELLS + 1)]}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -270,7 +275,8 @@ def test_usage_error_is_input_error(capsys):
         "range-descending", "range-span-above-max",
         "resolution-base-digits-above-max", "eval-superscript-digit",
         "cell-dim-above-max", "eval-nesting-above-max",
-        "invalid-complex-report"])
+        "invalid-complex-report", "homology-nesting-above-json-limit",
+        "zeta-nesting-above-json-limit", "cell-count-above-max"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

@@ -18,6 +18,7 @@ from z2beta.errors import (
 )
 import z2beta.homology as homology
 from z2beta.homology import (
+    MAX_CELLS,
     MAX_DIMENSION,
     GCWComplex,
     equivariant_betti_series,
@@ -79,6 +80,13 @@ def test_cell_dimension_bound():
             GCWComplex({"v": dim})
 
 
+def test_cell_count_bound():
+    assert len(GCWComplex({f"v{i}": 0 for i in range(MAX_CELLS)}).cells) \
+        == MAX_CELLS
+    with pytest.raises(InvalidComplex, match="invalid complex: more than"):
+        GCWComplex({f"v{i}": 0 for i in range(MAX_CELLS + 1)})
+
+
 def test_validated_and_indexed_once_per_complex(monkeypatch):
     calls, built = [], []
     real = homology.validate_complex
@@ -101,6 +109,37 @@ def test_validated_and_indexed_once_per_complex(monkeypatch):
     equivariant_cohomology(cw, 1)
     plain_homology(cw, 1)
     assert calls == [cw] and built == [cw]
+
+
+def test_square_to_zero_checked_on_every_query(monkeypatch):
+    class Flipped(homology._ChainData):
+        def __init__(self, x):
+            super().__init__(x)
+            self.columns[0] ^= 1  # d(v) = v, so d(d(v)) = v
+
+    monkeypatch.setattr(homology, "_ChainData", Flipped)
+    point = point_complex()
+    for n in (-1, -3):
+        with pytest.raises(InvalidComplex, match=f"degree {n + 1}$"):
+            equivariant_homology(point, n)
+
+
+def test_negative_tail_ranked_once(monkeypatch):
+    calls = []
+    real = homology.gf2_rank
+
+    def counting(columns):
+        calls.append(len(columns))
+        return real(columns)
+
+    monkeypatch.setattr(homology, "gf2_rank", counting)
+    cw = sphere_complex(2, "antipodal")
+    counts = []
+    for n_min in (-5, -1):
+        calls.clear()
+        homology_table(cw, n_min, 3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_complex_is_immutable():

@@ -83,7 +83,6 @@ def test_unknown_divisor_rejected():
      "strata": [{"I": ["E1"], "base": "oops"}]},
     {"ambient_dim": 1, "divisors": [{"id": "E1", "N": 2, "nu": 1}],
      "strata": [{"I": ["E1"], "base": "1"}, {"I": ["E1"], "base": "1"}]},
-    "{ this is not json",
 ])
 def test_malformed_input_rejected(data):
     with pytest.raises(MalformedInput):
@@ -110,6 +109,26 @@ def test_shipped_data_file_matches_builtin():
     if not path.exists():
         pytest.skip("sample data not present")
     assert load_resolution(path) == x2_plus_y4_resolution()
+
+
+def test_load_resolution_reads_paths_only(tmp_path, monkeypatch):
+    import pathlib
+
+    shipped = pathlib.Path(__file__).resolve().parent.parent \
+        / "data" / "x2y4_resolution.json"
+    if not shipped.exists():
+        pytest.skip("sample data not present")
+    text = shipped.read_text(encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    braced = pathlib.Path("{x2y4}.json")  # a file name that starts with "{"
+    braced.write_text(text, encoding="utf-8")
+    assert load_resolution(str(braced)) == x2_plus_y4_resolution()
+    with pytest.raises(OSError):  # JSON text is a (missing) file name
+        load_resolution(text)
+    for bad in ("{ this is not json", "[" * 100000 + "]" * 100000):
+        braced.write_text(bad, encoding="utf-8")
+        with pytest.raises(MalformedInput, match="invalid JSON"):
+            load_resolution(braced)
 
 
 def test_load_from_file(tmp_path):
