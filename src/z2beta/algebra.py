@@ -18,7 +18,6 @@ on every integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd
 from types import MappingProxyType
@@ -731,8 +730,7 @@ class LiteralReader:
 # ---------------------------------------------------------------------------
 # Laurent expansion at u = infinity
 
-@dataclass(frozen=True)
-class LaurentWindow:
+class LaurentWindow(NamedTuple):
     """A finite window of the expansion of a rational function at u = infinity.
 
     ``coefficients[k]`` belongs to exponent ``top_degree - k``.  When

@@ -17,7 +17,7 @@ where every claim is checkable symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import IntPoly, RationalU
 from .calculus import Atom, VirtualClass, affine_product, atom_class
@@ -31,15 +31,15 @@ from .zeta import (
 )
 
 
-@dataclass(frozen=True)
-class MonomialGerm:
+class MonomialGerm(NamedTuple("MonomialGerm", [("exponent", int)])):
     """The germ x |-> x^N at the origin of the real line."""
 
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.exponent < 1:
+    def __new__(cls, exponent: int):
+        if exponent < 1:
             raise ValueError("the exponent must be a positive integer")
+        return super().__new__(cls, exponent)
 
 
 def _base_class(germ: MonomialGerm, m: int, sign: str) -> VirtualClass:
@@ -161,8 +161,7 @@ def _negate(poly):
     return {m: -c for m, c in poly.items()}
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
+class ConstraintReport(NamedTuple):
     """Result of re-deriving the arc conditions by expansion.
 
     ``forced_zero`` lists the coefficient indices the vanishing conditions
@@ -248,8 +247,7 @@ KNOWN_DIVERGENCE = "known_divergence"
 MISMATCH = "mismatch"
 
 
-@dataclass(frozen=True)
-class CoefficientComparison:
+class CoefficientComparison(NamedTuple):
     n: int
     kind: str  # "+", "-" or "naive"
     oracle: RationalU
@@ -257,8 +255,7 @@ class CoefficientComparison:
     status: str
 
 
-@dataclass(frozen=True)
-class DLComparisonReport:
+class DLComparisonReport(NamedTuple):
     """Per-coefficient comparison of the definition-level zeta functions with
     the resolution-data ones, for x^N up to a given order.
 

@@ -20,8 +20,7 @@ class of a point times a point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import IntPoly, RationalU, exact_divide
 from .errors import (
@@ -43,28 +42,53 @@ ACTION_TRIVIAL = "trivial"
 SPHERE_ACTIONS = (ACTION_FREE, ACTION_FIXED, ACTION_TRIVIAL)
 
 
-@dataclass(frozen=True)
 class VirtualClass:
     """An equivariant virtual Poincare series in normal form.
 
     The state is the decomposition: ``poly_part`` P (an int is taken as a
     constant) and ``fixed_tail`` c; ``value`` is P + c*u/(u-1), derived on
-    first use.  ``dim_hint`` is an optional dimension claim used by
+    first use and kept.  ``dim_hint`` is an optional dimension claim used by
     ``check_degree``.  The normal form is unique, so equality and hashing
     compare (P, c) and ignore the advisory hint.
     """
 
-    poly_part: IntPoly
-    fixed_tail: int
-    dim_hint: int | None = field(default=None, compare=False)
+    __slots__ = ("poly_part", "fixed_tail", "dim_hint", "_value")
 
+    def __init__(self, poly_part: IntPoly, fixed_tail: int,
+                 dim_hint: int | None = None):
+        object.__setattr__(self, "poly_part", poly_part)
+        object.__setattr__(self, "fixed_tail", fixed_tail)
+        object.__setattr__(self, "dim_hint", dim_hint)
+        object.__setattr__(self, "_value", None)
+        self.__post_init__()
+
+    # a method of its own: the benchmark's tracer counts constructions here
     def __post_init__(self):
         if isinstance(self.poly_part, int):
             object.__setattr__(self, "poly_part", IntPoly({0: self.poly_part}))
 
-    @cached_property
+    def __setattr__(self, *args):
+        raise AttributeError("VirtualClass is immutable")
+
+    @property
     def value(self) -> RationalU:
-        return _series(self.poly_part, self.fixed_tail)
+        if self._value is None:
+            object.__setattr__(self, "_value",
+                               _series(self.poly_part, self.fixed_tail))
+        return self._value
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poly_part == other.poly_part
+                and self.fixed_tail == other.fixed_tail)
+
+    def __hash__(self):
+        return hash((self.poly_part, self.fixed_tail))
+
+    def __repr__(self):
+        return (f"VirtualClass(poly_part={self.poly_part!r}, "
+                f"fixed_tail={self.fixed_tail!r}, dim_hint={self.dim_hint!r})")
 
     @classmethod
     def from_value(cls, value: RationalU, dim_hint=None) -> "VirtualClass":
@@ -209,8 +233,7 @@ def check_degree(a: VirtualClass) -> bool:
 # ---------------------------------------------------------------------------
 # atoms: building blocks with known series
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """A building block whose series is known in closed form.
 
     ``kind`` is one of point_trivial, swapped_pair, sphere, affine, custom;

@@ -24,7 +24,7 @@ which keeps the recursion of both the parser and ``evaluate`` shallow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import LiteralReader
 from .calculus import (
@@ -72,8 +72,7 @@ SPHERE_KEYWORDS = {"free": ACTION_FREE, "fixed": ACTION_FIXED,
                    "trivial": ACTION_TRIVIAL}
 
 
-@dataclass(frozen=True)
-class Expression:
+class Expression(NamedTuple):
     """A parsed call; leaf arguments are int, keyword str, IntPoly or
     RationalU values."""
 

@@ -38,10 +38,10 @@ as bit rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .calculus import VirtualClass
 from .algebra import IntPoly
@@ -85,9 +85,10 @@ class GCWComplex:
         else:
             cell_map = {}
             for cell_id, dim in cells:
-                if cell_id in cell_map:
+                key = str(cell_id)
+                if key in cell_map:
                     raise InvalidComplex(f"duplicate cell id {cell_id!r}")
-                cell_map[str(cell_id)] = int(dim)
+                cell_map[key] = int(dim)
         if len(cell_map) > MAX_CELLS:
             raise InvalidComplex(
                 f"invalid complex: more than {MAX_CELLS} cells")
@@ -306,8 +307,7 @@ def equivariant_cohomology(x: GCWComplex, n: int) -> int:
 # ---------------------------------------------------------------------------
 # derived operations
 
-@dataclass(frozen=True)
-class HomologyResult:
+class HomologyResult(NamedTuple):
     """A homology table: degree -> dimension, plus the value of every degree
     below the table when the table reaches -2 with at least two rows (every
     degree <= -1 has the dimension of H_{-1})."""

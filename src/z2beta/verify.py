@@ -10,8 +10,8 @@ reported with the name of the offending vector.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import arcs, complexes, homology, zeta
 from .algebra import IntPoly, RationalU, laurent_expand
@@ -33,8 +33,7 @@ from .calculus import (
 SUITES = ("paper", "properties", "all")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

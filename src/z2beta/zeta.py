@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple
@@ -48,8 +47,7 @@ class Divisor(NamedTuple):
     nu: int
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     """A locally closed piece of the zero locus, indexed by the set of
     divisors through it, with its covering classes for both signs."""
 
@@ -67,8 +65,7 @@ class Stratum:
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(NamedTuple):
     ambient_dim: int
     divisors: tuple
     strata: tuple
@@ -188,8 +185,7 @@ class ZetaTerm(NamedTuple):
     factors: tuple  # sorted (N, nu) pairs, repetitions allowed
 
 
-@dataclass(frozen=True)
-class ZetaClosedForm:
+class ZetaClosedForm(NamedTuple):
     """A finite sum of geometric terms, canonically ordered so equality of
     the closed forms is structural."""
 
@@ -360,8 +356,7 @@ def zeta_equal(a: ZetaClosedForm, b: ZetaClosedForm) -> bool:
 # ---------------------------------------------------------------------------
 # the sign identity for nonnegative germs
 
-@dataclass(frozen=True)
-class SignIdentityReport:
+class SignIdentityReport(NamedTuple):
     """Outcome of checking naive = (u-1) * signed-plus."""
 
     structural_match: bool

@@ -1,4 +1,5 @@
-"""poly_gcd and the RationalU normal form against sympy, a test-only oracle.
+"""poly_gcd, the RationalU normal form and laurent_expand against sympy, a
+test-only oracle.
 
 Operands lean towards shared factors (u - 1, its powers, c*u^k, equal
 denominators, constants of either sign) and towards sums that cancel to 0
@@ -11,9 +12,10 @@ from math import gcd
 
 import pytest
 
-from z2beta.algebra import IntPoly, RationalU, poly_gcd
+from z2beta.algebra import IntPoly, RationalU, laurent_expand, poly_gcd
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.ring_series import rs_mul, rs_series_inversion  # noqa: E402
 
 U = IntPoly.u()
 X = sympy.Symbol("u")
@@ -127,3 +129,54 @@ def test_poly_gcd_against_sympy():
             expected = -expected
         assert dict(poly_gcd(a, b).coefficients) == {
             m[0]: int(c) for m, c in expected.terms()}
+
+
+def series_at_infinity(num: IntPoly, den: IntPoly, count: int):
+    """First ``count`` coefficients of num/den at u = infinity, from the
+    power series of f(1/v) = v^-(deg num - deg den) * P(v)/Q(v) at v = 0,
+    where P and Q are num and den with their coefficients reversed."""
+    ring, v = sympy.ring("v", sympy.QQ)
+
+    def reversed_poly(p):
+        return sum((c * v ** (p.degree - e) for e, c in p.coefficients.items()),
+                   ring.zero)
+
+    series = rs_mul(reversed_poly(num),
+                    rs_series_inversion(reversed_poly(den), v, count), v, count)
+    return [series.get((k,), 0) for k in range(count)]
+
+
+def unit_leading_denominator(rng):
+    # a leading coefficient of +-1 keeps every coefficient an integer; the
+    # shapes (u - 1) * u^k give eventually constant expansions
+    shape = rng.randrange(5)
+    if shape == 0:
+        return IntPoly({0: rng.choice([1, -1])})
+    if shape == 1:
+        return (U - 1) ** rng.randint(1, 2) * IntPoly.monomial(rng.randint(0, 3))
+    if shape == 2:
+        return IntPoly.monomial(rng.randint(1, 4), rng.choice([1, -1]))
+    if shape == 3:
+        return (U + 1) * (U - 1) * rng.choice([1, -1])
+    p = small_poly(rng, max_degree=3)
+    return p + IntPoly.monomial(p.degree + 1, rng.choice([1, -1]))
+
+
+def test_laurent_expand_against_sympy_series():
+    rng = random.Random(4093)
+    claims = 0
+    for _ in range(200):
+        num, den = small_poly(rng, max_degree=5), unit_leading_denominator(rng)
+        f = RationalU(num, den)
+        depth = rng.randint(1, 12)
+        long = depth + 24
+        expected = series_at_infinity(num, den, long)
+        window = laurent_expand(f, depth)
+        assert window.top_degree == num.degree - den.degree
+        assert list(laurent_expand(f, long).coefficients) == expected
+        assert list(window.coefficients) == expected[:depth]
+        if window.eventually_constant is not None:
+            claims += 1
+            for k in range(depth, long):
+                assert window.coefficient(window.top_degree - k) == expected[k]
+    assert claims >= 40  # the tail claim is exercised, not vacuous

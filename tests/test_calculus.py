@@ -1,9 +1,14 @@
 """Atoms, scissor relations and the structural rewrite rules."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import z2beta.calculus as calculus
 from z2beta.algebra import IntPoly, RationalU
 from z2beta.calculus import (
     ACTION_FIXED,
@@ -281,3 +286,45 @@ def test_from_value_decomposition():
     cls = VirtualClass.from_value(value)
     assert cls.poly_part == U ** 2 + U
     assert cls.fixed_tail == 3
+
+
+# ---------------------------------------------------------------------------
+# the class record
+
+def test_virtual_class_record(monkeypatch):
+    a = VirtualClass(U ** 2 - 3, 2, dim_hint=2)
+    b = VirtualClass(U ** 2 - 3, 2)
+    assert a == b and hash(a) == hash(b)  # the hint is advisory
+    assert a != VirtualClass(U ** 2 - 3, 1)
+    assert repr(a) == ("VirtualClass(poly_part=IntPoly.parse('u^2 - 3'), "
+                       "fixed_tail=2, dim_hint=2)")
+    constant = VirtualClass(4, 0)
+    assert isinstance(constant.poly_part, IntPoly)
+    assert constant == VirtualClass(IntPoly({0: 4}), 0)
+    for name in ("poly_part", "fixed_tail", "dim_hint", "value", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    calls = []
+    real = calculus._series
+
+    def counting(poly, tail):
+        calls.append((poly, tail))
+        return real(poly, tail)
+
+    monkeypatch.setattr(calculus, "_series", counting)
+    fresh = VirtualClass(U, 3)
+    assert fresh.value is fresh.value
+    assert fresh.value == RationalU(U) + 3 * TAIL_SERIES
+    assert calls == [(U, 3)]
+
+
+def test_import_leaves_dataclasses_out():
+    # every record type is a NamedTuple or a slotted class, so a cold start
+    # does not pay for importing dataclasses (and inspect, ast, dis)
+    code = ("import sys, z2beta, z2beta.cli, z2beta.verify; "
+            "print('dataclasses' in sys.modules)")
+    src = str(Path(calculus.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

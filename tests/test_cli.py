@@ -262,6 +262,8 @@ def test_usage_error_is_input_error(capsys):
     (["zeta", "{file}"], "[" * 100000 + "]" * 100000),
     (["homology", "{file}"], {"cells": [{"id": f"v{i}", "dim": 0}
                                         for i in range(MAX_CELLS + 1)]}),
+    (["homology", "{file}"], {"cells": [{"id": 1, "dim": 0},
+                                        {"id": 1, "dim": 1}]}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -276,7 +278,8 @@ def test_usage_error_is_input_error(capsys):
         "resolution-base-digits-above-max", "eval-superscript-digit",
         "cell-dim-above-max", "eval-nesting-above-max",
         "invalid-complex-report", "homology-nesting-above-json-limit",
-        "zeta-nesting-above-json-limit", "cell-count-above-max"])
+        "zeta-nesting-above-json-limit", "cell-count-above-max",
+        "cell-id-repeated"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file
