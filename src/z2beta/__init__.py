@@ -8,7 +8,7 @@ The package has five layers:
 * :mod:`z2beta.homology` / :mod:`z2beta.complexes` -- equivariant homology
   of finite Z/2Z-CW complexes over F2 and the curated cellular models;
 * :mod:`z2beta.calculus` -- virtual classes in normal form, atoms with known
-  series, scissor relations and the structural rewrite rules;
+  series, disjoint union and complement, and the structural rewrite rules;
 * :mod:`z2beta.zeta` / :mod:`z2beta.arcs` -- zeta functions from resolution
   data and, independently, from the arc-space definition for monomial germs;
 * :mod:`z2beta.dsl` / :mod:`z2beta.cli` -- the expression language and the
@@ -36,8 +36,6 @@ from .calculus import (
     curve_example,
     difference,
     free_quotient,
-    negative_tail,
-    scissor,
     trivial_lift,
     union_disjoint,
 )
@@ -103,13 +101,11 @@ __all__ = [
     "laurent_expand",
     "load_resolution",
     "monomial_resolution",
-    "negative_tail",
     "oracle_zeta",
     "parse_expression",
     "plain_homology",
     "point_complex",
     "product_with_trivial",
-    "scissor",
     "sphere_complex",
     "swapped_pair_complex",
     "symbolic_constraint_check",

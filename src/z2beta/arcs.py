@@ -284,21 +284,20 @@ def compare_with_dl(germ: MonomialGerm, order: int) -> DLComparisonReport:
     """Expand both routes to the given order and record agreement."""
     N = germ.exponent
     resolution = monomial_resolution(N)
+    routes = (
+        ("+", oracle_zeta(germ, "+", order), dl_zeta_signed(resolution, "+")),
+        ("-", oracle_zeta(germ, "-", order), dl_zeta_signed(resolution, "-")),
+        ("naive", oracle_zeta_naive(germ, order), dl_zeta_naive(resolution)),
+    )
     entries = []
-    for sign in ("+", "-"):
-        formula_side = dict(expand_zeta(dl_zeta_signed(resolution, sign), order))
-        oracle_side = dict(oracle_zeta(germ, sign, order))
-        for n in range(1, order + 1):
+    for kind, oracle_side, form in routes:
+        for (n, oracle), (_, formula) in zip(oracle_side,
+                                             expand_zeta(form, order)):
             status = MATCH
-            if oracle_side[n] != formula_side[n]:
-                even_case = N % 2 == 0 and n % N == 0 and (n // N) % 2 == 0
+            if oracle != formula:
+                even_case = (kind != "naive" and N % 2 == 0 and n % N == 0
+                             and (n // N) % 2 == 0)
                 status = KNOWN_DIVERGENCE if even_case else MISMATCH
-            entries.append(CoefficientComparison(n, sign, oracle_side[n],
-                                                 formula_side[n], status))
-    formula_naive = dict(expand_zeta(dl_zeta_naive(resolution), order))
-    oracle_naive = dict(oracle_zeta_naive(germ, order))
-    for n in range(1, order + 1):
-        status = MATCH if oracle_naive[n] == formula_naive[n] else MISMATCH
-        entries.append(CoefficientComparison(n, "naive", oracle_naive[n],
-                                             formula_naive[n], status))
+            entries.append(CoefficientComparison(n, kind, oracle, formula,
+                                                 status))
     return DLComparisonReport(N, order, tuple(entries))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import IntPoly, RationalU, exact_divide
+from .algebra import IntPoly, RationalU
 from .errors import (
     AssertionMissing,
     InvalidAtom,
@@ -146,14 +146,6 @@ def difference(a: VirtualClass, b: VirtualClass) -> VirtualClass:
     return _combine(a, b, -1, a.dim_hint)
 
 
-def scissor(a: VirtualClass, b: VirtualClass, op: str) -> VirtualClass:
-    if op == "union_disjoint":
-        return union_disjoint(a, b)
-    if op == "difference":
-        return difference(a, b)
-    raise ValueError(f"unknown scissor operation {op!r}")
-
-
 def affine_product(a: VirtualClass, d: int) -> VirtualClass:
     """Class of the product with a d-dimensional affine space (any action).
 
@@ -182,20 +174,14 @@ def trivial_lift(beta_poly: IntPoly, allow_negative: bool = False) -> VirtualCla
             f"{beta_poly} has a negative coefficient; pass allow_negative=True "
             "if it really is the virtual polynomial of a non-compact set")
     tail = int(beta_poly.evaluate(1))
-    shifted = exact_lift_poly(beta_poly, tail)
-    return VirtualClass(shifted, tail, dim_hint=_poly_degree_hint(beta_poly))
-
-
-def _poly_degree_hint(p: IntPoly):
-    return int(p.degree) if not p.is_zero() else None
-
-
-def exact_lift_poly(beta_poly: IntPoly, tail: int) -> IntPoly:
-    """Polynomial part of beta * u/(u-1): u * (beta - beta(1)) / (u-1)."""
-    numerator = (beta_poly - tail) * IntPoly.u()
-    if numerator.is_zero():
-        return IntPoly.zero()
-    return exact_divide(numerator, IntPoly.u() - 1)
+    degree = None if beta_poly.is_zero() else int(beta_poly.degree)
+    # P = u * (beta - beta(1)) / (u - 1): its u^k coefficient is the sum of
+    # the coefficients of u^k, u^(k+1), ... in beta
+    poly, running = {}, 0
+    for k in range(degree or 0, 0, -1):
+        running += beta_poly[k]
+        poly[k] = running
+    return VirtualClass(IntPoly(poly), tail, dim_hint=degree)
 
 
 def free_quotient(a: VirtualClass, asserted_free: bool) -> IntPoly:
@@ -216,11 +202,6 @@ def blowup_class(x: VirtualClass, c: VirtualClass, e: VirtualClass) -> VirtualCl
     """Class of the blow-up of x along a centre with class c and exceptional
     divisor class e:  x - c + e."""
     return union_disjoint(difference(x, c), e)
-
-
-def negative_tail(a: VirtualClass) -> int:
-    """The common coefficient of every negative power of u."""
-    return a.fixed_tail
 
 
 def check_degree(a: VirtualClass) -> bool:

@@ -49,24 +49,23 @@ def format_window(window: LaurentWindow) -> str:
     return f"{text}\n  tail: {window.eventually_constant}"
 
 
-def format_output(value, mode="closed") -> str:
+def format_output(value, expand=None) -> str:
     """Canonical text for any result value.
 
-    ``mode`` is "closed" or ("expand", k): the latter appends the Laurent
-    window down to exponent -k for series values, or the T-expansion table
-    for zeta closed forms.
+    With ``expand`` = k the text is the Laurent window down to exponent -k
+    for series values, or the closed form and its T-expansion table to
+    order k for zeta closed forms.
     """
-    if isinstance(mode, tuple) and mode[0] == "expand":
-        depth_to = mode[1]
+    if expand is not None:
         if isinstance(value, VirtualClass):
             value = value.value
         if isinstance(value, RationalU):
             top = int(value.degree) if not value.is_zero() else 0
-            window = laurent_expand(value, max(1, top + depth_to + 1))
+            window = laurent_expand(value, max(1, top + expand + 1))
             return format_window(window)
         if isinstance(value, zeta.ZetaClosedForm):
             lines = [str(value)]
-            for n, coeff in zeta.expand_zeta(value, depth_to):
+            for n, coeff in zeta.expand_zeta(value, expand):
                 lines.append(f"T^{n} : {coeff}")
             return "\n".join(lines)
     if isinstance(value, VirtualClass):
@@ -79,11 +78,7 @@ def format_output(value, mode="closed") -> str:
 
 def _cmd_eval(args) -> int:
     tree = parse_expression(args.expression)
-    value = evaluate(tree)
-    if args.expand is not None:
-        print(format_output(value, ("expand", args.expand)))
-    else:
-        print(format_output(value))
+    print(format_output(evaluate(tree), args.expand))
     return 0
 
 
@@ -124,11 +119,9 @@ def _cmd_zeta(args) -> int:
         form = zeta.dl_zeta_naive(resolution)
     else:
         form = zeta.dl_zeta_signed(resolution, args.sign)
-    if args.expand is not None:
-        order = args.expand or zeta.default_expansion_order(resolution)
-        print(format_output(form, ("expand", order)))
-    else:
-        print(format_output(form))
+    if args.expand == 0:  # --expand without a value
+        args.expand = zeta.default_expansion_order(resolution)
+    print(format_output(form, args.expand))
     return 0
 
 

@@ -10,16 +10,17 @@ Grammar (one token of lookahead):
     actions := "free" | "fixed" | "trivial"
              | "both_negated" | "y_negated" | "x_negated"
 
-Each function maps one-to-one onto a calculus operation.  Parsing is
-schema-driven: the expected argument kinds are known from the function name,
-which is what lets a bare ``u^2 + 1`` act as a literal inside ``lift(...)``
-while everywhere else names must be calls or keywords.  The parser extends
-``algebra.LiteralReader``, so the tokens, the literal grammar and the digit
-bound ``algebra.MAX_COEFFICIENT_DIGITS`` are those of ``IntPoly.parse`` and
-``RationalU.parse``.  On top of that, a ``^`` exponent or an integer
-argument above ``_Parser.MAX_EXPONENT`` is a syntax error, raised before any
-evaluation, and so is a call nested more than ``_Parser.MAX_DEPTH`` deep,
-which keeps the recursion of both the parser and ``evaluate`` shallow.
+One table, ``FUNCTIONS``, maps each function name to its argument kinds and
+to the calculus call it stands for.  The parser reads the kinds, which is
+what lets a bare ``u^2 + 1`` act as a literal inside ``lift(...)`` while
+everywhere else names must be calls or keywords, and ``evaluate`` makes the
+call.  The parser extends ``algebra.LiteralReader``, so the tokens, the
+literal grammar and the digit bound ``algebra.MAX_COEFFICIENT_DIGITS`` are
+those of ``IntPoly.parse`` and ``RationalU.parse``.  On top of that, a ``^``
+exponent or an integer argument above ``_Parser.MAX_EXPONENT`` is a syntax
+error, raised before any evaluation, and so is a call nested more than
+``_Parser.MAX_DEPTH`` deep, which keeps the recursion of both the parser and
+``evaluate`` shallow.
 """
 
 from __future__ import annotations
@@ -52,24 +53,26 @@ CURVE_ACTION = "curve-action"
 POLY = "poly"
 RATIONAL = "rational"
 
-#: function name -> expected argument kinds
-SIGNATURES = {
-    "point": (),
-    "pair": (),
-    "sphere": (INT, SPHERE_ACTION),
-    "affine": (INT,),
-    "custom": (RATIONAL, INT, POLY),
-    "union": (EXPR, EXPR),
-    "diff": (EXPR, EXPR),
-    "affprod": (EXPR, INT),
-    "lift": (POLY,),
-    "quotient": (EXPR,),
-    "blowup": (EXPR, EXPR, EXPR),
-    "curve": (CURVE_ACTION,),
-}
-
 SPHERE_KEYWORDS = {"free": ACTION_FREE, "fixed": ACTION_FIXED,
                    "trivial": ACTION_TRIVIAL}
+
+#: function name -> (argument kinds, calculus call on the argument values)
+FUNCTIONS = {
+    "point": ((), lambda: atom_class(Atom.point())),
+    "pair": ((), lambda: atom_class(Atom.pair())),
+    "sphere": ((INT, SPHERE_ACTION), lambda d, action: atom_class(
+        Atom.sphere(d, SPHERE_KEYWORDS[action]))),
+    "affine": ((INT,), lambda d: atom_class(Atom.affine(d))),
+    "custom": ((RATIONAL, INT, POLY), lambda value, dim, fixed: atom_class(
+        Atom.custom(value, dim, fixed))),
+    "union": ((EXPR, EXPR), union_disjoint),
+    "diff": ((EXPR, EXPR), difference),
+    "affprod": ((EXPR, INT), affine_product),
+    "lift": ((POLY,), trivial_lift),
+    "quotient": ((EXPR,), lambda a: free_quotient(a, asserted_free=True)),
+    "blowup": ((EXPR, EXPR, EXPR), blowup_class),
+    "curve": ((CURVE_ACTION,), curve_example),
+}
 
 
 class Expression(NamedTuple):
@@ -111,15 +114,15 @@ class _Parser(LiteralReader):
 
     def parse_expr(self) -> Expression:
         token = self.expect("name")
-        if token.text not in SIGNATURES:
+        if token.text not in FUNCTIONS:
             raise UnknownAtom(f"unknown function {token.text!r}",
                               token.line, token.column,
-                              expected=sorted(SIGNATURES))
+                              expected=sorted(FUNCTIONS))
         if self.depth == self.MAX_DEPTH:
             raise ExpressionSyntaxError(
                 f"calls nested more than {self.MAX_DEPTH} deep",
                 token.line, token.column)
-        signature = SIGNATURES[token.text]
+        signature = FUNCTIONS[token.text][0]
         self.expect("(")
         self.depth += 1
         args = []
@@ -166,33 +169,11 @@ def parse_expression(text: str) -> Expression:
 def evaluate(expr: Expression):
     """Evaluate a parsed expression to a VirtualClass, or to an IntPoly for
     ``quotient`` (whose result is an ordinary virtual polynomial)."""
-    func, args = expr.func, expr.args
-    if func == "point":
-        return atom_class(Atom.point())
-    if func == "pair":
-        return atom_class(Atom.pair())
-    if func == "sphere":
-        return atom_class(Atom.sphere(args[0], SPHERE_KEYWORDS[args[1]]))
-    if func == "affine":
-        return atom_class(Atom.affine(args[0]))
-    if func == "custom":
-        return atom_class(Atom.custom(args[0], args[1], args[2]))
-    if func == "union":
-        return union_disjoint(_as_class(expr, 0), _as_class(expr, 1))
-    if func == "diff":
-        return difference(_as_class(expr, 0), _as_class(expr, 1))
-    if func == "affprod":
-        return affine_product(_as_class(expr, 0), args[1])
-    if func == "lift":
-        return trivial_lift(args[0])
-    if func == "quotient":
-        return free_quotient(_as_class(expr, 0), asserted_free=True)
-    if func == "blowup":
-        return blowup_class(_as_class(expr, 0), _as_class(expr, 1),
-                            _as_class(expr, 2))
-    if func == "curve":
-        return curve_example(args[0])
-    raise UnknownAtom(f"unknown function {func!r}")
+    if expr.func not in FUNCTIONS:
+        raise UnknownAtom(f"unknown function {expr.func!r}")
+    kinds, call = FUNCTIONS[expr.func]
+    return call(*(_as_class(expr, index) if kind == EXPR else arg
+                  for index, (kind, arg) in enumerate(zip(kinds, expr.args))))
 
 
 def _as_class(expr: Expression, index: int) -> VirtualClass:

@@ -78,17 +78,11 @@ class GCWComplex:
     __slots__ = ("cells", "boundary", "sigma", "fixed_is_geometric", "_chains")
 
     def __init__(self, cells, boundary=None, sigma=None, fixed_is_geometric=False):
-        if isinstance(cells, dict):
-            cell_map = {str(k): int(v) for k, v in cells.items()}
-            if len(cell_map) != len(cells):
-                raise InvalidComplex("duplicate cell ids")
-        else:
-            cell_map = {}
-            for cell_id, dim in cells:
-                key = str(cell_id)
-                if key in cell_map:
-                    raise InvalidComplex(f"duplicate cell id {cell_id!r}")
-                cell_map[key] = int(dim)
+        cell_map = {}
+        for cell_id, dim in cells.items() if isinstance(cells, dict) else cells:
+            if str(cell_id) in cell_map:
+                raise InvalidComplex(f"duplicate cell id {cell_id!r}")
+            cell_map[str(cell_id)] = int(dim)
         if len(cell_map) > MAX_CELLS:
             raise InvalidComplex(
                 f"invalid complex: more than {MAX_CELLS} cells")
@@ -128,10 +122,13 @@ class GCWComplex:
             # JSON integers only: a bool, float or string is refused, not cast
             if any(type(dim) is not int for _, dim in cells):
                 raise InvalidComplex("cell dimensions must be integers")
+            fixed_is_geometric = data.get("fixed_is_geometric", False)
+            if type(fixed_is_geometric) is not bool:
+                raise InvalidComplex("fixed_is_geometric must be a boolean")
             return cls(cells,
                        boundary=data.get("boundary", {}),
                        sigma=data.get("sigma", {}),
-                       fixed_is_geometric=data.get("fixed_is_geometric", False))
+                       fixed_is_geometric=fixed_is_geometric)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidComplex(f"malformed complex data "
                                  f"({type(exc).__name__}: {exc})") from exc

@@ -22,7 +22,6 @@ from .calculus import (
     Atom,
     TAIL_SERIES,
     atom_class,
-    check_degree,
     curve_example,
     difference,
     free_quotient,
@@ -290,7 +289,7 @@ def _property_suite(rec: _Recorder):
             lift_ok = False
     rec.check("lift identity (u-1)*lift(p) = u*p", lift_ok)
 
-    # scissor consistency: free circle = two swapped arcs + swapped pair
+    # additivity: free circle = two swapped arcs + swapped pair
     arcs_class = difference(atom_class(Atom.sphere(1, ACTION_FREE)),
                             atom_class(Atom.pair()))
     rec.check("additivity: free circle = swapped arcs + swapped pair",
@@ -350,26 +349,24 @@ def _property_suite(rec: _Recorder):
                 duality_ok = False
     rec.check("Poincare duality on curated closed complexes", duality_ok)
 
-    # the triangular stratification, re-derived by brute force
-    constraint_ok = True
-    for exponent in range(1, 6):
-        for n in range(1, 13):
-            report = arcs.symbolic_constraint_check(arcs.MonomialGerm(exponent), n)
-            expected = n // exponent if n % exponent == 0 else None
-            if report.base_index != expected:
-                constraint_ok = False
-    rec.check("arc conditions reduce to the triangular system (N<=5, n<=12)",
-              constraint_ok)
-
-    # degree equals dimension for arc classes
-    dims_ok = True
+    # the triangular stratification, re-derived by brute force, and the
+    # dimension of each arc space read off it: n coefficients less the
+    # forced zeros and the root variable
+    constraint_ok = dims_ok = True
     for exponent in range(1, 6):
         germ = arcs.MonomialGerm(exponent)
         for n in range(1, 13):
+            report = arcs.symbolic_constraint_check(germ, n)
+            expected = n // exponent if n % exponent == 0 else None
+            if report.base_index != expected:
+                constraint_ok = False
+            dimension = n - 1 - len(report.forced_zero)
             for sign in "+-":
                 cls = arcs.arc_class(germ, n, sign)
-                if not cls.is_zero() and not check_degree(cls):
+                if not cls.is_zero() and cls.value.degree != dimension:
                     dims_ok = False
+    rec.check("arc conditions reduce to the triangular system (N<=5, n<=12)",
+              constraint_ok)
     rec.check("arc class degree equals arc space dimension", dims_ok)
 
     # trivial-group projection agrees with the naive formula everywhere

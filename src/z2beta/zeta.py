@@ -7,12 +7,13 @@ the signed zeta functions the coefficient is (u-1)^(|I|-1) times the class
 of the two-sheeted covering of the stratum; for the naive one it is
 (u-1)^|I| times the ordinary class of the stratum itself.
 
-Expansion and semantic equality share one kernel.  A product of geometric
-factors has integer Laurent polynomials in u as T-coefficients, so the
-truncated T-products run over {T-degree: {u-exponent: int}}; only each
-term's coefficient p/q is a true fraction.  The product starts from the
-numerator p, the integer sums are taken per distinct denominator q, and one
-RationalU is built per (q, T-degree) at the end.
+One driver, ``expand_zeta``, turns a closed form into T-coefficients, and
+semantic equality reads its windows.  A product of geometric factors has
+integer Laurent polynomials in u as T-coefficients, so the truncated
+T-products run over {T-degree: {u-exponent: int}}; only each term's
+coefficient p/q is a true fraction.  The product starts from the numerator
+p, the integer sums are taken per distinct denominator q, and one RationalU
+is built per (q, T-degree) at the end.
 
 Covering classes are *inputs*: carving them out of charts would need real
 semialgebraic geometry, and the worked examples hand them over directly.
@@ -230,38 +231,38 @@ class ZetaClosedForm(NamedTuple):
 def dl_zeta_signed(resolution: ResolutionData, sign: str) -> ZetaClosedForm:
     """Signed zeta function: per stratum, (u-1)^(|I|-1) times the covering
     class, times the geometric factor of every divisor through the stratum."""
-    terms = []
-    for stratum in resolution.strata:
-        coefficient = (U_MINUS_ONE ** (len(stratum.divisors) - 1)
-                       * stratum.covering(sign).value)
-        factors = tuple(sorted((resolution.divisor(i).N, resolution.divisor(i).nu)
-                               for i in stratum.divisors))
-        terms.append((coefficient, factors))
-    return ZetaClosedForm.from_terms(terms)
+    return _over_strata(resolution, lambda stratum: (
+        U_MINUS_ONE ** (len(stratum.divisors) - 1)
+        * stratum.covering(sign).value))
 
 
 def dl_zeta_naive(resolution: ResolutionData) -> ZetaClosedForm:
     """Naive zeta function: per stratum, (u-1)^|I| times the ordinary class
     of the stratum, same geometric factors."""
+    return _over_strata(resolution, lambda stratum: (
+        U_MINUS_ONE ** len(stratum.divisors) * RationalU(stratum.base_class)))
+
+
+def _over_strata(resolution: ResolutionData, coefficient) -> ZetaClosedForm:
+    """Sum over strata of coefficient(stratum) times the geometric factor
+    (N, nu) of every divisor through the stratum."""
     terms = []
     for stratum in resolution.strata:
-        coefficient = (U_MINUS_ONE ** len(stratum.divisors)
-                       * RationalU(stratum.base_class))
         factors = tuple(sorted((resolution.divisor(i).N, resolution.divisor(i).nu)
                                for i in stratum.divisors))
-        terms.append((coefficient, factors))
+        terms.append((coefficient(stratum), factors))
     return ZetaClosedForm.from_terms(terms)
 
 
 # ---------------------------------------------------------------------------
 # expansion and equality
 
-def default_expansion_order(resolution: ResolutionData, cap: int = 64) -> int:
-    """Four repetitions of every geometric factor, capped."""
+def default_expansion_order(resolution: ResolutionData) -> int:
+    """Four repetitions of every geometric factor, at most 64."""
     lcm = 1
     for d in resolution.divisors:
         lcm = lcm * d.N // gcd(lcm, d.N)
-    return min(4 * lcm, cap)
+    return min(4 * lcm, 64)
 
 
 def expand_zeta(form: ZetaClosedForm, order: int) -> list:
@@ -284,23 +285,6 @@ def expand_zeta(form: ZetaClosedForm, order: int) -> list:
         pieces.append((term.coefficient.denominator, series))
     total = _over_denominators(pieces)
     return [(n, total.get(n, RationalU.zero())) for n in range(1, order + 1)]
-
-
-def _as_t_polynomial(form: ZetaClosedForm, multiplicities: dict) -> dict:
-    """The closed form times prod (1 - u^-nu T^N)^mult over all factors,
-    as a T-polynomial {T-degree: RationalU}."""
-    order = sum(N * mult for (N, _), mult in multiplicities.items())
-    pieces = []
-    for term in form.terms:
-        used = Counter(term.factors)
-        poly = {0: dict(term.coefficient.numerator.coefficients)}
-        for (N, nu), total_mult in multiplicities.items():
-            for _ in range(used[(N, nu)]):
-                poly = _t_mul(poly, {N: {-nu: 1}}, order)
-            for _ in range(total_mult - used[(N, nu)]):
-                poly = _t_mul(poly, {0: {0: 1}, N: {-nu: -1}}, order)
-        pieces.append((term.coefficient.denominator, poly))
-    return _over_denominators(pieces)
 
 
 def _t_mul(a: dict, b: dict, order: int) -> dict:
@@ -343,14 +327,27 @@ def _over_denominators(pieces) -> dict:
 
 
 def zeta_equal(a: ZetaClosedForm, b: ZetaClosedForm) -> bool:
-    """Semantic equality as rational functions of T: cross-multiply both
-    sides by every distinct factor denominator and compare T-polynomials."""
+    """Semantic equality as rational functions of T, read off expansions.
+
+    Let D = prod (1 - u^-nu T^N)^mult over every distinct factor, mult its
+    largest multiplicity in a term of either side, and K = sum N * mult.
+    Each term times D is a T-polynomial of degree <= K, so (a - b) * D is
+    one too.  D has constant term 1, so (a - b) * D is zero exactly when
+    a - b vanishes through T^K: the T^0 coefficients, which come from terms
+    with no factor and which ``expand_zeta`` leaves out, are compared
+    directly, and T^1 .. T^K on the two windows.
+    """
     multiplicities = {}
     for form in (a, b):
         for term in form.terms:
             for f, mult in Counter(term.factors).items():
                 multiplicities[f] = max(multiplicities.get(f, 0), mult)
-    return _as_t_polynomial(a, multiplicities) == _as_t_polynomial(b, multiplicities)
+    constants = [sum((t.coefficient for t in form.terms if not t.factors),
+                     RationalU.zero()) for form in (a, b)]
+    if constants[0] != constants[1]:
+        return False
+    order = sum(N * mult for (N, _), mult in multiplicities.items())
+    return order == 0 or expand_zeta(a, order) == expand_zeta(b, order)
 
 
 # ---------------------------------------------------------------------------

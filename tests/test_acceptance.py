@@ -304,4 +304,7 @@ def test_criterion_11_property_suites():
                 cls = arcs.arc_class(arcs.MonomialGerm(exponent), n, sign)
                 if not cls.is_zero() and not check_degree(cls):
                     failures.append(f"degree x^{exponent} n={n} sign {sign}")
+                dimension = n - 1 - len(report.forced_zero)
+                if not cls.is_zero() and cls.value.degree != dimension:
+                    failures.append(f"dimension x^{exponent} n={n} {sign}")
     _conclude("criterion 11: property suites", failures)

@@ -1,4 +1,4 @@
-"""Atoms, scissor relations and the structural rewrite rules."""
+"""Atoms, disjoint union and complement, and the structural rewrite rules."""
 
 import os
 import random
@@ -24,8 +24,6 @@ from z2beta.calculus import (
     curve_example,
     difference,
     free_quotient,
-    negative_tail,
-    scissor,
     trivial_lift,
     union_disjoint,
 )
@@ -94,7 +92,7 @@ def test_custom_atom():
 
 
 # ---------------------------------------------------------------------------
-# scissor relations
+# disjoint union and complement
 
 def test_sphere_minus_point_is_affine_line():
     got = difference(atom_class(Atom.sphere(1, ACTION_FIXED)),
@@ -113,14 +111,6 @@ def test_two_swapped_arcs():
                      atom_class(Atom.pair()))
     assert got.value == RationalU(U)
     assert got.fixed_tail == 0
-
-
-def test_scissor_dispatch():
-    a, b = atom_class(Atom.point()), atom_class(Atom.pair())
-    assert scissor(a, b, "union_disjoint") == union_disjoint(a, b)
-    assert scissor(a, b, "difference") == difference(a, b)
-    with pytest.raises(ValueError):
-        scissor(a, b, "intersect")
 
 
 def test_dim_hint_policy():
@@ -231,9 +221,9 @@ def test_curve_rejects_unknown_action():
 # normal form and inspection
 
 def test_negative_tail():
-    assert negative_tail(atom_class(Atom.sphere(3, ACTION_FIXED))) == 2
-    assert negative_tail(atom_class(Atom.sphere(2, ACTION_FREE))) == 0
-    assert negative_tail(atom_class(Atom.point())) == 1
+    assert atom_class(Atom.sphere(3, ACTION_FIXED)).fixed_tail == 2
+    assert atom_class(Atom.sphere(2, ACTION_FREE)).fixed_tail == 0
+    assert atom_class(Atom.point()).fixed_tail == 1
 
 
 def test_check_degree():

@@ -93,7 +93,7 @@ def test_format_output_zero():
 
 
 def test_format_output_expand_mode():
-    text = format_output(atom_class(Atom.point()), ("expand", 3))
+    text = format_output(atom_class(Atom.point()), expand=3)
     assert text.startswith("1 + u^-1 + u^-2 + u^-3")
 
 
@@ -264,6 +264,10 @@ def test_usage_error_is_input_error(capsys):
                                         for i in range(MAX_CELLS + 1)]}),
     (["homology", "{file}"], {"cells": [{"id": 1, "dim": 0},
                                         {"id": 1, "dim": 1}]}),
+    (["homology", "{file}"], {"cells": [{"id": "p", "dim": 0},
+                                        {"id": "q", "dim": 0}],
+                              "sigma": {"p": "q", "q": "p"},
+                              "fixed_is_geometric": "false"}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -279,7 +283,7 @@ def test_usage_error_is_input_error(capsys):
         "cell-dim-above-max", "eval-nesting-above-max",
         "invalid-complex-report", "homology-nesting-above-json-limit",
         "zeta-nesting-above-json-limit", "cell-count-above-max",
-        "cell-id-repeated"])
+        "cell-id-repeated", "fixed-is-geometric-string"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

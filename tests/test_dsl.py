@@ -90,6 +90,14 @@ def test_unknown_function():
     assert "sphere" in info.value.expected
 
 
+def test_unknown_function_built_by_hand():
+    with pytest.raises(UnknownAtom):
+        evaluate(Expression("bogus", ()))
+    with pytest.raises(UnknownAtom):
+        evaluate(Expression("union", (Expression("bogus", ()),
+                                      Expression("point", ()))))
+
+
 def test_arity_too_few():
     with pytest.raises(ExpressionSyntaxError) as info:
         parse_expression("sphere(1)")

@@ -93,6 +93,16 @@ def test_duplicate_cell_ids_compare_as_stored(ids):
     cells = [{"id": ids[0], "dim": 0}, {"id": ids[1], "dim": 1}]
     with pytest.raises(InvalidComplex, match="duplicate cell id"):
         GCWComplex.from_dict({"cells": cells})
+    with pytest.raises(InvalidComplex, match="duplicate cell id"):
+        GCWComplex({"1": 0, 1: 1})
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [False]])
+def test_fixed_is_geometric_must_be_a_json_boolean(flag):
+    data = {"cells": [{"id": "p", "dim": 0}, {"id": "q", "dim": 0}],
+            "sigma": {"p": "q", "q": "p"}}
+    with pytest.raises(InvalidComplex, match="fixed_is_geometric"):
+        GCWComplex.from_dict({**data, "fixed_is_geometric": flag})
 
 
 def test_validated_and_indexed_once_per_complex(monkeypatch):

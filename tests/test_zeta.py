@@ -1,7 +1,6 @@
 """The resolution-data zeta engine against the worked closed forms."""
 
 import json
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from z2beta.algebra import IntPoly, RationalU
 from z2beta.errors import BadGcd, MalformedInput, UnknownDivisor
 from z2beta.zeta import (
     ZetaClosedForm,
-    _as_t_polynomial,
+    ZetaTerm,
     check_sign_identity,
     default_expansion_order,
     dl_zeta_naive,
@@ -335,27 +334,81 @@ def test_zeta_equal_partial_fractions():
     assert zeta_equal(a, b)
 
 
+def value_at(form, x, t):
+    """Exact value of a closed form at the rational point (u, T) = (x, t)."""
+    total = Fraction(0)
+    for term in form.terms:
+        part = term.coefficient.eval_at(x)
+        for N, nu in term.factors:
+            g = Fraction(1, x ** nu) * t ** N
+            part *= g / (1 - g)
+        total += part
+    return total
+
+
+def unmerged(*terms):
+    """A closed form with its terms in the given order and not merged, as
+    ``from_terms`` would; int coefficients are taken as constants."""
+    return ZetaClosedForm(tuple(ZetaTerm(RationalU(c) if isinstance(c, int)
+                                         else c, f) for c, f in terms))
+
+
+C = (3, 1)
+#: Two forms with terms [A, A, B], so K = 2*2 + 4 = 8, that differ by
+#: u^7 [A, A, B] = T^8 / ((1 - u^-2 T^2)^2 (1 - u^-3 T^4)): they agree
+#: through T^(K-1) and differ at T^K
+AT_THE_BOUND = (
+    closed((RationalU(U), (A,)), (RationalU(1), (B,)),
+           (RationalU(U ** 7 + 1), (A, A, B))),
+    closed((RationalU(U), (A,)), (RationalU(1), (B,)),
+           (RationalU(1), (A, A, B))),
+)
+#: (a, b, whether a and b are equal)
+EQUALITY_PAIRS = (
+    # reordered terms and factors
+    (unmerged((RationalU(U), (A,)), (1, (B, A)), (-2, (C,))),
+     closed((RationalU(-2), (C,)), (RationalU(1), (A, B)),
+            (RationalU(U), (A,))),
+     True),
+    # partial fractions: (u+1)/(u-1)^2 = 1/(u-1) + 2/(u-1)^2
+    (unmerged((RationalU(1, U - 1), (A, C)),
+              (RationalU(2, (U - 1) ** 2), (C, A))),
+     closed((RationalU(U + 1, (U - 1) ** 2), (A, C))),
+     True),
+    # partial fractions in T: with x = u^-2 T^2 and w = x/u,
+    # (u-1) x/(1-x) w/(1-w) = x/(1-x) - u w/(1-w)
+    (closed((RationalU(U - 1), (A, (2, 3)))),
+     closed((RationalU(1), (A,)), (RationalU(-U), ((2, 3),))),
+     True),
+    # repeated factors, split and reordered
+    (unmerged((RationalU(U), (A, B, A)), (RationalU(1, U), (A, A, B)),
+              (3, (C, C, C))),
+     closed((RationalU(U ** 2 + 1, U), (A, A, B)), (RationalU(3), (C, C, C))),
+     True),
+    (unmerged((RationalU(1), (A, A))), closed((RationalU(1), (A,))), False),
+    (*AT_THE_BOUND, False),
+    # empty-factor (T^0) terms: compared by their sum
+    (unmerged((RationalU(1, U - 1), ()), (RationalU(U), (A,)), (1, ())),
+     closed((RationalU(U, U - 1), ()), (RationalU(U), (A,))),
+     True),
+    (closed((RationalU(5), ()), (RationalU(U), (A,))),
+     closed((RationalU(U), (A,))),
+     False),
+    (dl_zeta_naive(x2_plus_y4_resolution()),
+     dl_zeta_signed(x2_plus_y4_resolution(), "+").scaled(RationalU(U - 1)),
+     True),
+)
+
+
 @pytest.mark.parametrize("x, t", [(3, Fraction(1, 5)), (7, Fraction(2, 3))])
 def test_cross_multiplied_polynomial_at_points(x, t):
-    # zeta_equal compares the T-polynomials F * prod (1 - u^-nu T^N)^mult;
-    # check them against the closed form's value at (u, T) = (x, t)
-    for form in HAND_BUILT:
-        multiplicities = {(2, 1): 1}
-        for term in form.terms:
-            for f, mult in Counter(term.factors).items():
-                multiplicities[f] = max(multiplicities.get(f, 0), mult)
-        value = Fraction(0)
-        for term in form.terms:
-            part = term.coefficient.eval_at(x)
-            for N, nu in term.factors:
-                g = Fraction(1, x ** nu) * t ** N
-                part *= g / (1 - g)
-            value += part
-        for (N, nu), mult in multiplicities.items():
-            value *= (1 - Fraction(1, x ** nu) * t ** N) ** mult
-        poly = _as_t_polynomial(form, multiplicities)
-        assert sum(c.eval_at(x) * t ** e for e, c in poly.items()) == value
-        assert all(not c.is_zero() for c in poly.values())
+    # zeta_equal(a, b) says whether (a - b) * prod (1 - u^-nu T^N)^mult is
+    # zero; the values of a and b at a point (u, T) = (x, t) decide it
+    for a, b, equal in EQUALITY_PAIRS:
+        assert zeta_equal(a, b) is zeta_equal(b, a) is equal, (str(a), str(b))
+        assert (value_at(a, x, t) == value_at(b, x, t)) is equal, str(a)
+    near, far = (geometric_values(form, x, 8) for form in AT_THE_BOUND)
+    assert near[:8] == far[:8] and near[8] != far[8]
 
 
 def test_zeta_equal_repeated_factor():
