@@ -564,6 +564,13 @@ class RationalU:
         return reader.finish(reader.parse_fraction())
 
 
+#: u - 1, the factor that carries a fixed-point tail and scales zeta strata.
+U_MINUS_ONE = RationalU(IntPoly.u() - 1)
+
+#: The series of a fixed point: sum of u^i over i <= 0.
+TAIL_SERIES = RationalU(IntPoly.u(), IntPoly.u() - 1)
+
+
 def _product(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RationalU:
     """(a/b) * (c/d) for coprime pairs (a, b) and (c, d), by Henrici's rule."""
     if not a or not c:
@@ -772,19 +779,17 @@ def laurent_expand(f: RationalU, depth: int) -> LaurentWindow:
     # coefficient lists in v = 1/u: position k holds the coefficient of u^(deg - k)
     p = [num[num.degree - k] for k in range(num.degree + 1)]
     q = [den[den.degree - k] for k in range(den.degree + 1)]
-    lead = q[0]
-    values: list[Fraction] = []
+    lead = q[0]  # positive in normal form
     coeffs = []
     for k in range(depth):
-        acc = Fraction(p[k] if k < len(p) else 0)
+        acc = p[k] if k < len(p) else 0
         for j in range(1, min(k, len(q) - 1) + 1):
-            acc -= q[j] * values[k - j]
-        c = acc / lead
-        values.append(c)
-        if c.denominator != 1:
-            raise NonIntegerExpansion(
-                f"coefficient of u^{top - k} in {f} is the non-integer {c}")
-        coeffs.append(int(c))
+            acc -= q[j] * coeffs[k - j]
+        c, rest = divmod(acc, lead)
+        if rest:
+            raise NonIntegerExpansion(f"coefficient of u^{top - k} in {f} "
+                                      f"is the non-integer {Fraction(acc, lead)}")
+        coeffs.append(c)
     tail = _detect_constant_tail(f, bottom=top - depth + 1)
     return LaurentWindow(top, tuple(coeffs), tail)
 
@@ -796,16 +801,14 @@ def _detect_constant_tail(f: RationalU, bottom: int):
     when h is a Laurent polynomial (denominator a power of u) and the window
     already covers every exponent where h or the constant head differ.
     """
-    u = IntPoly.u()
-    scaled = f * RationalU(u - 1)
     try:
-        c_value = scaled.eval_at(1)
+        c_value = (f * U_MINUS_ONE).eval_at(1)
     except PoleAtPoint:
         return None  # (u-1) divides the denominator more than once
     if c_value.denominator != 1:
         return None
     c = int(c_value)
-    h = f - c * RationalU(u, u - 1)
+    h = f - c * TAIL_SERIES
     den = h.denominator
     if den.term_count() > 1 or den.leading_coefficient != 1:
         return None  # not a Laurent polynomial

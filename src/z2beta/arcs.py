@@ -19,16 +19,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import IntPoly, RationalU
+from .algebra import U_MINUS_ONE, IntPoly, RationalU
 from .calculus import Atom, VirtualClass, affine_product, atom_class
 from .errors import ConstraintMismatch
-from .zeta import (
-    U_MINUS_ONE,
-    dl_zeta_naive,
-    dl_zeta_signed,
-    expand_zeta,
-    monomial_resolution,
-)
+from .zeta import dl_zeta_naive, dl_zeta_signed, expand_zeta, monomial_resolution
 
 
 class MonomialGerm(NamedTuple("MonomialGerm", [("exponent", int)])):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import IntPoly, RationalU
+from .algebra import TAIL_SERIES, U_MINUS_ONE, IntPoly, RationalU
 from .errors import (
     AssertionMissing,
     InvalidAtom,
@@ -32,9 +32,6 @@ from .errors import (
     NotFree,
     PoleAtPoint,
 )
-
-#: The series of a fixed point: sum of u^i over i <= 0.
-TAIL_SERIES = RationalU(IntPoly.u(), IntPoly.u() - 1)
 
 ACTION_FREE = "free"
 ACTION_FIXED = "with_fixed_point"
@@ -94,7 +91,7 @@ class VirtualClass:
     def from_value(cls, value: RationalU, dim_hint=None) -> "VirtualClass":
         """Decompose a rational function into normal form, or fail."""
         try:
-            tail_value = (value * RationalU(IntPoly.u() - 1)).eval_at(1)
+            tail_value = (value * U_MINUS_ONE).eval_at(1)
         except PoleAtPoint as exc:
             raise NormalFormError(
                 f"{value} has a pole of order > 1 at u = 1") from exc

@@ -49,6 +49,11 @@ def format_window(window: LaurentWindow) -> str:
     return f"{text}\n  tail: {window.eventually_constant}"
 
 
+def _format_t_series(pairs) -> str:
+    """One ``T^n : c`` line per (n, coefficient) pair."""
+    return "\n".join(f"T^{n} : {coeff}" for n, coeff in pairs)
+
+
 def format_output(value, expand=None) -> str:
     """Canonical text for any result value.
 
@@ -64,10 +69,8 @@ def format_output(value, expand=None) -> str:
             window = laurent_expand(value, max(1, top + expand + 1))
             return format_window(window)
         if isinstance(value, zeta.ZetaClosedForm):
-            lines = [str(value)]
-            for n, coeff in zeta.expand_zeta(value, expand):
-                lines.append(f"T^{n} : {coeff}")
-            return "\n".join(lines)
+            series = zeta.expand_zeta(value, expand)
+            return f"{value}\n{_format_t_series(series)}"
     if isinstance(value, VirtualClass):
         return format_class(value)
     return str(value)
@@ -136,8 +139,7 @@ def _cmd_oracle(args) -> int:
         if not report.all_consistent:
             return 2
         return 0
-    for n, coeff in arcs.oracle_zeta(germ, args.sign, order):
-        print(f"T^{n} : {coeff}")
+    print(_format_t_series(arcs.oracle_zeta(germ, args.sign, order)))
     return 0
 
 

@@ -125,8 +125,12 @@ class GCWComplex:
             fixed_is_geometric = data.get("fixed_is_geometric", False)
             if type(fixed_is_geometric) is not bool:
                 raise InvalidComplex("fixed_is_geometric must be a boolean")
+            boundary = data.get("boundary", {})
+            for cell, faces in boundary.items():
+                if not isinstance(faces, list):
+                    raise InvalidComplex(f"boundary of {cell!r} must be a list")
             return cls(cells,
-                       boundary=data.get("boundary", {}),
+                       boundary=boundary,
                        sigma=data.get("sigma", {}),
                        fixed_is_geometric=fixed_is_geometric)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -346,15 +350,15 @@ def fixed_subcomplex(x: GCWComplex) -> GCWComplex:
 
 def equivariant_betti_series(x: GCWComplex) -> VirtualClass:
     """The equivariant Poincare series of a compact nonsingular complex, in
-    normal form P(u) + c*u/(u-1), where c is the dimension of every degree
-    below zero (the homology of the fixed set).
+    normal form P(u) + c*u/(u-1): H_top ... H_{-1} are read top down, and c
+    is the dimension of H_{-1}, shared by every degree below zero (the
+    homology of the fixed set).
     """
     top = max(x.top_dimension, 0)
-    table = homology_table(x, -2, top)
-    dims, tail = table.group_dims, table.stable_negative_dim
-    poly = IntPoly({n: dims[n] for n in range(1, top + 1)}) \
-        + IntPoly({0: dims[0] - tail})
-    return VirtualClass(poly, tail)
+    dims = {n: equivariant_homology(x, n) for n in range(top, -2, -1)}
+    tail = dims.pop(-1)
+    dims[0] -= tail
+    return VirtualClass(IntPoly(dims), tail)
 
 
 def product_with_trivial(x: GCWComplex, y: GCWComplex) -> GCWComplex:

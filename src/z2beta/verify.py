@@ -235,6 +235,28 @@ def _long_division_oracle(num: IntPoly, den: IntPoly, depth: int):
     return out, shift
 
 
+def _arc_checks(rec: _Recorder):
+    """The triangular stratification, re-derived by brute force, and the
+    dimension of each arc space read off it: n coefficients less the forced
+    zeros and the root variable."""
+    constraint_ok = dims_ok = True
+    for exponent in range(1, 6):
+        germ = arcs.MonomialGerm(exponent)
+        for n in range(1, 13):
+            report = arcs.symbolic_constraint_check(germ, n)
+            expected = n // exponent if n % exponent == 0 else None
+            if report.base_index != expected:
+                constraint_ok = False
+            dimension = n - 1 - len(report.forced_zero)
+            for sign in "+-":
+                cls = arcs.arc_class(germ, n, sign)
+                if not cls.is_zero() and cls.value.degree != dimension:
+                    dims_ok = False
+    rec.check("arc conditions reduce to the triangular system (N<=5, n<=12)",
+              constraint_ok)
+    rec.check("arc class degree equals arc space dimension", dims_ok)
+
+
 def _property_suite(rec: _Recorder):
     u = IntPoly.u()
     rng = random.Random(20240917)
@@ -349,25 +371,7 @@ def _property_suite(rec: _Recorder):
                 duality_ok = False
     rec.check("Poincare duality on curated closed complexes", duality_ok)
 
-    # the triangular stratification, re-derived by brute force, and the
-    # dimension of each arc space read off it: n coefficients less the
-    # forced zeros and the root variable
-    constraint_ok = dims_ok = True
-    for exponent in range(1, 6):
-        germ = arcs.MonomialGerm(exponent)
-        for n in range(1, 13):
-            report = arcs.symbolic_constraint_check(germ, n)
-            expected = n // exponent if n % exponent == 0 else None
-            if report.base_index != expected:
-                constraint_ok = False
-            dimension = n - 1 - len(report.forced_zero)
-            for sign in "+-":
-                cls = arcs.arc_class(germ, n, sign)
-                if not cls.is_zero() and cls.value.degree != dimension:
-                    dims_ok = False
-    rec.check("arc conditions reduce to the triangular system (N<=5, n<=12)",
-              constraint_ok)
-    rec.check("arc class degree equals arc space dimension", dims_ok)
+    _arc_checks(rec)
 
     # trivial-group projection agrees with the naive formula everywhere
     naive_ok = True

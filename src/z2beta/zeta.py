@@ -17,26 +17,24 @@ is built per (q, T-degree) at the end.
 
 Covering classes are *inputs*: carving them out of charts would need real
 semialgebraic geometry, and the worked examples hand them over directly.
-The engine applies the stratum formula literally, with the covering action
-determined by the parity of the gcd of the multiplicities; the arc-space
-module computes the same coefficients straight from the definition so the
-two routes can be compared instead of silently reconciled (they are known
-to disagree at even multiplicities with even quotient order).
+The engine applies the stratum formula literally to the covering classes it
+reads; the gcd of the multiplicities only validates a stored m.  The
+arc-space module computes the same coefficients straight from the definition
+so the two routes can be compared instead of silently reconciled (they are
+known to disagree at even multiplicities with even quotient order).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from typing import NamedTuple
 
-from .algebra import IntPoly, RationalU
+from .algebra import U_MINUS_ONE, IntPoly, RationalU
 from .calculus import VirtualClass
 from .errors import BadGcd, MalformedInput, UnknownDivisor
-
-U_MINUS_ONE = RationalU(IntPoly.u() - 1)
 
 
 class Divisor(NamedTuple):
@@ -70,15 +68,6 @@ class ResolutionData(NamedTuple):
     ambient_dim: int
     divisors: tuple
     strata: tuple
-
-    def divisor(self, divisor_id: str) -> Divisor:
-        for d in self.divisors:
-            if d.id == divisor_id:
-                return d
-        raise UnknownDivisor(f"no divisor with id {divisor_id!r}")
-
-    def max_multiplicity(self) -> int:
-        return max((d.N for d in self.divisors), default=1)
 
 
 def _parse_virtual_class(data, where: str) -> VirtualClass:
@@ -120,8 +109,7 @@ def load_resolution(source) -> ResolutionData:
             or not isinstance(stratum_entries, list):
         raise MalformedInput("divisors and strata must be lists")
 
-    divisors = []
-    seen = set()
+    by_id = {}
     for entry in divisor_entries:
         try:
             div = Divisor(str(entry["id"]), entry["N"], entry["nu"])
@@ -132,11 +120,9 @@ def load_resolution(source) -> ResolutionData:
             raise MalformedInput(f"divisor {div.id!r}: N and nu must be integers")
         if div.N < 1 or div.nu < 1:
             raise MalformedInput(f"divisor {div.id!r}: N and nu must be >= 1")
-        if div.id in seen:
+        if div.id in by_id:
             raise MalformedInput(f"duplicate divisor id {div.id!r}")
-        seen.add(div.id)
-        divisors.append(div)
-    by_id = {d.id: d for d in divisors}
+        by_id[div.id] = div
 
     strata = []
     seen_sets = set()
@@ -172,7 +158,7 @@ def load_resolution(source) -> ResolutionData:
         cov_minus = _parse_virtual_class(entry.get("cov_minus", {"poly": "0", "tail": 0}),
                                          f"stratum {sorted(ids)} cov_minus")
         strata.append(Stratum(ids, base, cov_plus, cov_minus, true_m))
-    return ResolutionData(ambient, tuple(divisors), tuple(strata))
+    return ResolutionData(ambient, tuple(by_id.values()), tuple(strata))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +186,7 @@ class ZetaClosedForm(NamedTuple):
             merged[key] = merged.get(key, RationalU.zero()) + coefficient
         cleaned = [ZetaTerm(coef, key) for key, coef in merged.items()
                    if not coef.is_zero()]
-        cleaned.sort(key=lambda t: (t.factors, str(t.coefficient)))
+        cleaned.sort(key=lambda t: t.factors)
         return cls(tuple(cleaned))
 
     @classmethod
@@ -224,7 +210,7 @@ class ZetaClosedForm(NamedTuple):
                     and term.coefficient.numerator.term_count() > 1:
                 coef = f"({coef})"
             factors = " * ".join(f"[{n},{nu}]" for n, nu in term.factors)
-            rendered.append(f"{coef} * {factors}")
+            rendered.append(f"{coef} * {factors}" if factors else coef)
         return " + ".join(rendered)
 
 
@@ -246,12 +232,10 @@ def dl_zeta_naive(resolution: ResolutionData) -> ZetaClosedForm:
 def _over_strata(resolution: ResolutionData, coefficient) -> ZetaClosedForm:
     """Sum over strata of coefficient(stratum) times the geometric factor
     (N, nu) of every divisor through the stratum."""
-    terms = []
-    for stratum in resolution.strata:
-        factors = tuple(sorted((resolution.divisor(i).N, resolution.divisor(i).nu)
-                               for i in stratum.divisors))
-        terms.append((coefficient(stratum), factors))
-    return ZetaClosedForm.from_terms(terms)
+    factor = {d.id: (d.N, d.nu) for d in resolution.divisors}
+    return ZetaClosedForm.from_terms(
+        (coefficient(stratum), tuple(factor[i] for i in stratum.divisors))
+        for stratum in resolution.strata)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +243,7 @@ def _over_strata(resolution: ResolutionData, coefficient) -> ZetaClosedForm:
 
 def default_expansion_order(resolution: ResolutionData) -> int:
     """Four repetitions of every geometric factor, at most 64."""
-    lcm = 1
-    for d in resolution.divisors:
-        lcm = lcm * d.N // gcd(lcm, d.N)
-    return min(4 * lcm, 64)
+    return min(4 * lcm(*(d.N for d in resolution.divisors)), 64)
 
 
 def expand_zeta(form: ZetaClosedForm, order: int) -> list:
@@ -390,7 +371,7 @@ def check_sign_identity(resolution: ResolutionData,
     rhs = dl_zeta_naive(resolution)
     structural = lhs == rhs
     if order is None:
-        order = 4 * resolution.max_multiplicity()
+        order = 4 * max((d.N for d in resolution.divisors), default=1)
     first_mismatch = None
     for (n, left), (_, right) in zip(expand_zeta(lhs, order),
                                      expand_zeta(rhs, order)):

@@ -268,6 +268,10 @@ def test_usage_error_is_input_error(capsys):
                                         {"id": "q", "dim": 0}],
                               "sigma": {"p": "q", "q": "p"},
                               "fixed_is_geometric": "false"}),
+    (["homology", "{file}"], {"cells": [{"id": "v", "dim": 0},
+                                        {"id": "w", "dim": 0},
+                                        {"id": "e", "dim": 1}],
+                              "boundary": {"e": "vw"}}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -283,7 +287,8 @@ def test_usage_error_is_input_error(capsys):
         "cell-dim-above-max", "eval-nesting-above-max",
         "invalid-complex-report", "homology-nesting-above-json-limit",
         "zeta-nesting-above-json-limit", "cell-count-above-max",
-        "cell-id-repeated", "fixed-is-geometric-string"])
+        "cell-id-repeated", "fixed-is-geometric-string",
+        "boundary-not-list"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

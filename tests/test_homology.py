@@ -105,6 +105,16 @@ def test_fixed_is_geometric_must_be_a_json_boolean(flag):
         GCWComplex.from_dict({**data, "fixed_is_geometric": flag})
 
 
+@pytest.mark.parametrize("faces", ["vw", {"v": 1, "w": 1}, 7, None])
+def test_boundary_value_must_be_a_json_list(faces):
+    # a string would be read as its characters, an object as its keys
+    data = {"cells": [{"id": "v", "dim": 0}, {"id": "w", "dim": 0},
+                      {"id": "e", "dim": 1}],
+            "boundary": {"e": faces}}
+    with pytest.raises(InvalidComplex, match="boundary of 'e' must be a list"):
+        GCWComplex.from_dict(data)
+
+
 def test_validated_and_indexed_once_per_complex(monkeypatch):
     calls, built = [], []
     real = homology.validate_complex

@@ -194,6 +194,13 @@ def test_closed_form_text():
     assert str(ZetaClosedForm.zero()) == "0"
 
 
+def test_term_without_factor_prints_its_coefficient_alone():
+    form = ZetaClosedForm.from_terms([(5, ()), (2, ((2, 1),))])
+    assert str(form) == "5 + 2 * [2,1]"
+    form = closed((RationalU(U + 1), ()), (RationalU(U), (A,)))
+    assert str(form) == "(u + 1) + u * [2,2]"
+
+
 def test_terms_merge_and_drop_zero():
     form = closed((RationalU(U), ((2, 1),)),
                   (RationalU(-U), ((2, 1),)))
