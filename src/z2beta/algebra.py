@@ -66,15 +66,15 @@ class IntPoly:
 
     @classmethod
     def zero(cls) -> "IntPoly":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "IntPoly":
-        return cls({0: 1})
+        return cls._trusted({0: 1})
 
     @classmethod
     def u(cls) -> "IntPoly":
-        return cls({1: 1})
+        return cls._trusted({1: 1})
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> "IntPoly":
@@ -268,20 +268,39 @@ def exact_divide(num: IntPoly, den: IntPoly) -> IntPoly:
     """
     if den.is_zero():
         raise DivisionByZero("polynomial division by zero")
+    d, lead, tail = _divisor_parts(den)
     quotient = {}
-    rest = num
-    d = den.degree
-    lead = den.leading_coefficient
-    while not rest.is_zero() and rest.degree >= d:
-        c, rem = divmod(rest.leading_coefficient, lead)
+    rest = dict(num._coeffs)
+    while rest:
+        top = max(rest)
+        if top < d:
+            break
+        c, rem = divmod(rest.pop(top), lead)
         if rem:
             raise ArithmeticError(f"{num} is not divisible by {den}")
-        shift = rest.degree - d
-        quotient[shift] = c
-        rest = rest - den * IntPoly.monomial(shift, c)
-    if not rest.is_zero():
+        quotient[top - d] = c
+        _subtract_shifted(rest, tail, top, c)
+    if rest:
         raise ArithmeticError(f"{num} is not divisible by {den}")
-    return IntPoly(quotient)
+    return IntPoly._trusted(quotient)
+
+
+def _divisor_parts(b: IntPoly):
+    """(degree, leading coefficient, [(e - degree, c) for the other terms])."""
+    d = b.degree
+    return d, b._coeffs[d], [(e - d, c) for e, c in b._coeffs.items()
+                             if e != d]
+
+
+def _subtract_shifted(rest: dict, tail, top: int, c: int):
+    # rest -= c * u^top * tail, in place; zero coefficients are removed
+    for offset, bc in tail:
+        e = top + offset
+        value = rest.get(e, 0) - c * bc
+        if value:
+            rest[e] = value
+        else:
+            rest.pop(e, None)
 
 
 def _divide_content(p: IntPoly, k: int) -> IntPoly:
@@ -298,13 +317,20 @@ def _primitive(p: IntPoly) -> IntPoly:
 
 def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
     # lc(b)^k * a mod b, eliminating the lead of a without leaving Z
-    d = b.degree
-    lead = b.leading_coefficient
-    rest = a
-    while not rest.is_zero() and rest.degree >= d:
-        shift = rest.degree - d
-        rest = rest * lead - b * IntPoly.monomial(shift, rest.leading_coefficient)
-    return rest
+    # (Knuth, TAOCP vol. 2, 4.6.1); one exponent -> coefficient dict is
+    # updated in place, so memory follows the number of terms, not the degree
+    d, lead, tail = _divisor_parts(b)
+    rest = dict(a._coeffs)
+    while rest:
+        top = max(rest)
+        if top < d:
+            break
+        c = rest.pop(top)
+        if lead != 1:
+            for e in rest:
+                rest[e] *= lead
+        _subtract_shifted(rest, tail, top, c)
+    return IntPoly._trusted(rest)
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -372,11 +398,17 @@ class RationalU:
 
     Each partial gcd comes from ``_common_factor``, which needs no
     ``poly_gcd`` when an input is a constant or a single term c*u^k (the
-    gcd is a power of u) or when both have the same primitive part.  The
-    values of the calculus, P + c*u/(u-1), and their scaling by u^-n never
-    reach ``poly_gcd``.  Results are stored by ``_coprime``, which fixes
-    only the joint integer content and the sign; ``RationalU(num, den)``
-    from outside removes ``_common_factor(num, den)`` first.
+    gcd is a power of u) or when both have the same primitive part.
+    Results are stored by ``_coprime``, which fixes only the joint integer
+    content and the sign; ``RationalU(num, den)`` from outside removes
+    ``_common_factor(num, den)`` first.
+
+    Where the normal form of a result is known, no gcd is taken at all:
+
+    - ``shift(k)``, the product with u^k, cancels powers of u only, since
+      u never divides both parts of a normal form;
+    - the value P + c*u/(u-1) of a calculus class is built directly as
+      (P*(u-1) + c*u)/(u-1), whose numerator is c != 0 at u = 1.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -456,6 +488,17 @@ class RationalU:
         return Fraction(self.numerator.evaluate(point), den)
 
     # -- field operations --------------------------------------------------
+
+    def shift(self, k: int) -> "RationalU":
+        """self * u^k, cancelling powers of u only."""
+        num, den = self.numerator, self.denominator
+        if not num or k == 0:
+            return self
+        if k > 0:
+            cancel = min(k, den.valuation)
+            return RationalU._coprime(num.shift(k - cancel), den.shift(-cancel))
+        cancel = min(-k, num.valuation)
+        return RationalU._coprime(num.shift(-cancel), den.shift(-k - cancel))
 
     @classmethod
     def _coerce(cls, other):

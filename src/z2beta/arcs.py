@@ -74,79 +74,68 @@ def arc_class_plain(germ: MonomialGerm, n: int) -> RationalU:
     if n % germ.exponent != 0:
         return RationalU.zero()
     m = n // germ.exponent
-    return U_MINUS_ONE * RationalU(IntPoly.monomial(n - m))
+    return U_MINUS_ONE.shift(n - m)
 
 
 def oracle_zeta(germ: MonomialGerm, sign: str, order: int) -> list:
     """Signed zeta coefficients from the definition: class times u^-n."""
-    return [(n, arc_class(germ, n, sign).value * RationalU(1, IntPoly.monomial(n)))
+    return [(n, arc_class(germ, n, sign).value.shift(-n))
             for n in range(1, order + 1)]
 
 
 def oracle_zeta_naive(germ: MonomialGerm, order: int) -> list:
     """Naive zeta coefficients from the definition (trivial-group classes)."""
-    return [(n, arc_class_plain(germ, n) * RationalU(1, IntPoly.monomial(n)))
+    return [(n, arc_class_plain(germ, n).shift(-n))
             for n in range(1, order + 1)]
 
 
 # ---------------------------------------------------------------------------
 # brute-force verification of the triangular stratification
 #
-# Small sparse polynomials in the arc coefficients: a monomial is a sorted
-# tuple of (variable index, power) pairs and a polynomial maps monomials to
-# integer coefficients.  This is the independent route: nothing below knows
-# about the m = n/N shortcut it is checking.
-
-def _mono_mul(m1, m2):
-    powers = dict(m1)
-    for var, p in m2:
-        powers[var] = powers.get(var, 0) + p
-    return tuple(sorted(powers.items()))
-
-
-def _poly_mul(p1, p2):
-    out = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            m = _mono_mul(m1, m2)
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
+# Small sparse polynomials in the arc coefficients a_1, ..., a_n map packed
+# monomials to integer coefficients.  The monomial a_1^p_1 * ... * a_n^p_n
+# is the integer sum of p_j * B^j in base B = N + 1: every monomial of
+# (a_1 t + ... + a_n t^n)^k with k <= N has total degree k, so no power p_j
+# exceeds N, no base-B digit carries, and a product of two monomials is the
+# sum of their integers.  Digit 0 is always zero, as there is no a_0.  This
+# is the independent route: nothing below knows about the m = n/N shortcut
+# it is checking.
 
 def _germ_coefficients(exponent: int, n: int):
-    """Coefficients of t^0..t^n of (a_1 t + ... + a_n t^n)^exponent, each a
-    polynomial in the a_j."""
-    base = [{} for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        base[j] = {((j, 1),): 1}
+    """(B, coefficients of t^0..t^n of (a_1 t + ... + a_n t^n)^exponent),
+    each coefficient a polynomial in the a_j over monomials packed in base
+    B = exponent + 1."""
+    base = exponent + 1
     result = [{} for _ in range(n + 1)]
-    result[0] = {(): 1}
+    result[0] = {0: 1}
     for _ in range(exponent):
         nxt = [{} for _ in range(n + 1)]
         for d1, p1 in enumerate(result):
-            if not p1:
-                continue
             for d2 in range(1, n + 1 - d1):
-                if not base[d2]:
-                    continue
-                product = _poly_mul(p1, base[d2])
-                for m, c in product.items():
-                    nxt[d1 + d2][m] = nxt[d1 + d2].get(m, 0) + c
+                # times a_d2 t^d2: every coefficient is positive, none cancels
+                target, a_d2 = nxt[d1 + d2], base ** d2
+                for m, c in p1.items():
+                    target[m + a_d2] = target.get(m + a_d2, 0) + c
         result = nxt
-    return result
+    return base, result
 
 
-def _drop_vars(poly, below: int):
-    """Substitute a_j = 0 for every j < below."""
-    return {m: c for m, c in poly.items()
-            if all(var >= below for var, _ in m)}
+def _drop_vars(poly, below: int, base: int):
+    """Substitute a_j = 0 for every j < below: keep the monomials whose
+    digits below position ``below`` are all zero."""
+    unit = base ** below
+    return {m: c for m, c in poly.items() if m % unit == 0}
 
 
-def _sign_twisted(poly):
+def _sign_twisted(poly, base: int):
     """Apply a_j |-> (-1)^j a_j."""
     out = {}
     for m, c in poly.items():
-        parity = sum(var * p for var, p in m)
+        parity, j, digits = 0, 0, m
+        while digits:
+            digits, p = divmod(digits, base)
+            parity += j * p
+            j += 1
         out[m] = c if parity % 2 == 0 else -c
     return out
 
@@ -182,25 +171,25 @@ def symbolic_constraint_check(germ: MonomialGerm, n: int) -> ConstraintReport:
     if n > 12:
         raise ValueError("constraint check is limited to n <= 12")
     N = germ.exponent
-    coeffs = _germ_coefficients(N, n)
+    base, coeffs = _germ_coefficients(N, n)
 
     for k in range(n + 1):
         expected = coeffs[k] if k % 2 == 0 else _negate(coeffs[k])
-        if _sign_twisted(coeffs[k]) != expected:
+        if _sign_twisted(coeffs[k], base) != expected:
             raise ConstraintMismatch(
                 f"t^{k} coefficient is not equivariant under t -> -t")
 
     conditions = []
     first_free = 1  # smallest index not yet forced to vanish
     for k in range(1, n):
-        reduced = _drop_vars(coeffs[k], first_free)
+        reduced = _drop_vars(coeffs[k], first_free, base)
         if k < first_free * N:
             if reduced:
                 raise ConstraintMismatch(
                     f"t^{k} condition does not vanish modulo "
                     f"a_1 = ... = a_{first_free - 1} = 0")
         elif k == first_free * N:
-            if reduced != {((first_free, N),): 1}:
+            if reduced != {N * base ** first_free: 1}:
                 raise ConstraintMismatch(
                     f"t^{k} condition is not a_{first_free}^{N} after reduction")
             conditions.append(f"a{first_free} = 0")
@@ -209,9 +198,9 @@ def symbolic_constraint_check(germ: MonomialGerm, n: int) -> ConstraintReport:
             raise ConstraintMismatch(
                 f"unexpected gap at t^{k}: next pivot is t^{first_free * N}")
 
-    final = _drop_vars(coeffs[n], first_free)
+    final = _drop_vars(coeffs[n], first_free, base)
     if n == first_free * N:
-        if final != {((first_free, N),): 1}:
+        if final != {N * base ** first_free: 1}:
             raise ConstraintMismatch(
                 f"t^{n} condition is not a_{first_free}^{N} after reduction")
         conditions.append(f"a{first_free}^{N} = +-1")

@@ -115,7 +115,13 @@ class VirtualClass:
 
 
 def _series(poly: IntPoly, tail: int) -> RationalU:
-    return RationalU(poly) + tail * TAIL_SERIES
+    # P + c*u/(u-1) = (P*(u-1) + c*u)/(u-1), in lowest terms for c != 0
+    # because the numerator is c at u = 1
+    if not tail:
+        return RationalU._coprime(poly, IntPoly.one())
+    u_minus_one = U_MINUS_ONE.numerator
+    return RationalU._coprime(poly * u_minus_one + IntPoly.monomial(1, tail),
+                              u_minus_one)
 
 
 def _resolve_hint(poly: IntPoly, tail: int, candidate: int | None) -> int | None:
@@ -150,7 +156,7 @@ def affine_product(a: VirtualClass, d: int) -> VirtualClass:
     u^d * u/(u-1) = (u^d + ... + u) + u/(u-1).
     """
     if d < 0:
-        raise ValueError("affine dimension must be non-negative")
+        raise InvalidAtom(f"affine dimension must be >= 0, got {d}")
     if d == 0:
         return a
     poly = a.poly_part.shift(d) + a.fixed_tail * IntPoly.geometric_sum(1, d)

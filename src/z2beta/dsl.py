@@ -129,7 +129,11 @@ class _Parser(LiteralReader):
         for index, kind in enumerate(signature):
             if index > 0:
                 self.expect(",")
-            args.append(self.parse_arg(kind))
+            start = self.peek()
+            arg = self.parse_arg(kind)
+            if kind == EXPR and arg.func == "quotient":
+                raise _not_a_class(token.text, index, start.line, start.column)
+            args.append(arg)
         closing = self.peek()
         if closing.kind != ")":
             raise ArityError(
@@ -179,7 +183,11 @@ def evaluate(expr: Expression):
 def _as_class(expr: Expression, index: int) -> VirtualClass:
     value = evaluate(expr.args[index])
     if not isinstance(value, VirtualClass):
-        raise ArityError(
-            f"argument {index + 1} of {expr.func} must be a class-valued "
-            "expression, not a quotient polynomial")
+        raise _not_a_class(expr.func, index)
     return value
+
+
+def _not_a_class(func: str, index: int, line=None, column=None) -> ArityError:
+    return ArityError(f"argument {index + 1} of {func} must be a "
+                      "class-valued expression, not a quotient polynomial",
+                      line, column)

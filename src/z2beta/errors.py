@@ -93,21 +93,23 @@ class ConstraintMismatch(ToolkitError):
 # expression front end
 
 class ExpressionSyntaxError(ToolkitError, ValueError):
-    """Parse error with position information, in expression or polynomial
-    text."""
+    """Error in expression or polynomial text, with the line and column where
+    it was found; one raised after parsing, without a position, prints
+    none."""
 
-    def __init__(self, message, line=1, column=0, expected=()):
+    def __init__(self, message, line=None, column=None, expected=()):
         super().__init__(message)
         self.line = line
         self.column = column
         self.expected = tuple(expected)
 
     def __str__(self):
-        base = super().__str__()
-        loc = f" at line {self.line}, column {self.column}"
+        text = super().__str__()
+        if self.line is not None:
+            text += f" at line {self.line}, column {self.column}"
         if self.expected:
-            return f"{base}{loc} (expected {', '.join(self.expected)})"
-        return base + loc
+            text += f" (expected {', '.join(self.expected)})"
+        return text
 
 
 class UnknownAtom(ExpressionSyntaxError):

@@ -117,8 +117,10 @@ class GCWComplex:
     def from_dict(cls, data: dict) -> "GCWComplex":
         if not isinstance(data, dict):
             raise InvalidComplex("complex data must be a JSON object")
+        if "cells" not in data:
+            raise InvalidComplex("complex data has no 'cells' list")
         try:
-            cells = [(c["id"], c["dim"]) for c in data.get("cells", [])]
+            cells = [(c["id"], c["dim"]) for c in data["cells"]]
             # JSON integers only: a bool, float or string is refused, not cast
             if any(type(dim) is not int for _, dim in cells):
                 raise InvalidComplex("cell dimensions must be integers")

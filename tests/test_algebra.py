@@ -1,6 +1,7 @@
 """Exact polynomial / fraction arithmetic and the Laurent view."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd as int_gcd
 
@@ -252,6 +253,72 @@ def test_values_and_arc_oracle_need_no_poly_gcd(monkeypatch):
             assert len(oracle_zeta(germ, sign, 256)) == 256
         assert len(oracle_zeta_naive(germ, 256)) == 256
     assert calls == []
+
+
+def _is_normal_form(value: RationalU) -> bool:
+    num, den = value.numerator, value.denominator
+    if num.is_zero():
+        return den == IntPoly.one()
+    return (int_gcd(num.content(), den.content()) == 1
+            and den.leading_coefficient > 0
+            and min(num.valuation, den.valuation) == 0
+            and poly_gcd(num, den).degree == 0)
+
+
+def test_shift_is_multiplication_by_a_power_of_u():
+    rng = random.Random(6060)
+    values = [RationalU.zero(), RationalU(1, U), RationalU(U ** 3, 2 * U - 2),
+              RationalU(6 * U ** 2 + 4, 9 * U ** 5 - 3 * U ** 3)]
+    for _ in range(60):
+        value = random_fraction(rng)
+        # denominators with and without a factor u, contents above 1
+        values.append(value * RationalU(rng.choice([1, 2, 6]),
+                                        IntPoly.monomial(rng.randint(0, 5),
+                                                         rng.choice([1, 3]))))
+        values.append(value)
+    for value in values:
+        for k in range(-12, 13):
+            expected = value * (RationalU(IntPoly.monomial(k)) if k >= 0
+                                else RationalU(1, IntPoly.monomial(-k)))
+            shifted = value.shift(k)
+            assert (shifted.numerator, shifted.denominator) \
+                == (expected.numerator, expected.denominator)
+            assert _is_normal_form(shifted)
+            if not value.is_zero():
+                assert shifted.eval_at(2) == value.eval_at(2) * Fraction(2) ** k
+
+
+def test_sparse_gcd_eliminates_in_place(monkeypatch):
+    # a 100000-degree pseudo-division builds a handful of polynomials, not
+    # one or more per elimination step
+    built = []
+    trusted = IntPoly._trusted.__func__
+
+    def counting(cls, coeffs):
+        built.append(len(coeffs))
+        return trusted(cls, coeffs)
+
+    a, b = IntPoly({100000: 1, 0: 1}), U ** 2 + 1
+    monkeypatch.setattr(IntPoly, "_trusted", classmethod(counting))
+    start = time.perf_counter()
+    common = poly_gcd(a, b)
+    elapsed = time.perf_counter() - start
+    assert common == IntPoly.one()
+    assert len(built) < 20 and max(built) <= 2
+    assert elapsed < 1.0
+
+
+def test_exact_divide_sparse_and_refusals():
+    a = IntPoly({100000: 1, 0: -1})
+    q = exact_divide(a, U ** 4 - 1)
+    assert q == IntPoly({e: 1 for e in range(0, 100000, 4)})
+    assert exact_divide(IntPoly.zero(), U + 1) == IntPoly.zero()
+    with pytest.raises(ArithmeticError):
+        exact_divide(a, U ** 3 - 2)
+    with pytest.raises(ArithmeticError):
+        exact_divide(U ** 2 + 1, U + 1)
+    with pytest.raises(DivisionByZero):
+        exact_divide(U, IntPoly.zero())
 
 
 def test_fraction_division():

@@ -1,6 +1,8 @@
 """The arc-space oracle: definition-level classes, the brute-force
 stratification check, and the comparison against the resolution engine."""
 
+from math import comb
+
 import pytest
 
 from z2beta.algebra import IntPoly, RationalU
@@ -9,6 +11,7 @@ from z2beta.arcs import (
     MATCH,
     ConstraintReport,
     MonomialGerm,
+    _germ_coefficients,
     arc_class,
     arc_class_plain,
     compare_with_dl,
@@ -136,6 +139,33 @@ def test_constraint_sweep():
                 assert report.forced_zero == tuple(range(1, n // exponent))
             else:
                 assert report.base_index is None
+
+
+def test_packed_expansion_counts():
+    # decode every packed monomial of the t^k coefficient of
+    # (a_1 t + ... + a_n t^n)^N: total degree N and weight k, the
+    # coefficients add up to the C(k-1, N-1) compositions of k into N
+    # parts, and there is one monomial per partition of k into N parts
+    def partitions(k, parts, largest):
+        if parts == 0:
+            return int(k == 0)
+        return sum(partitions(k - p, parts - 1, p)
+                   for p in range(1, min(k, largest) + 1))
+
+    n = 12
+    for N in range(1, 9):
+        base, coeffs = _germ_coefficients(N, n)
+        for k, poly in enumerate(coeffs):
+            for monomial in poly:
+                digits = []
+                for _ in range(n + 1):  # digits 0..n, for a_0 (none) to a_n
+                    monomial, digit = divmod(monomial, base)
+                    digits.append(digit)
+                assert monomial == 0 and digits[0] == 0
+                assert sum(digits) == N
+                assert sum(j * p for j, p in enumerate(digits)) == k
+            assert sum(poly.values()) == (comb(k - 1, N - 1) if k else 0)
+            assert len(poly) == partitions(k, N, k)
 
 
 def test_constraint_cost_guard():

@@ -271,6 +271,20 @@ def test_normal_form_closure_randomized():
             del values[0]
 
 
+def test_value_is_built_in_normal_form():
+    # the value is assembled directly as (P*(u-1) + c*u)/(u-1); generic
+    # arithmetic on the same pair must give the same normal form
+    rng = random.Random(512)
+    for _ in range(200):
+        poly = IntPoly({e: rng.choice([0, 1, -1, 2, -6, 10 ** 30])
+                        for e in range(rng.randint(0, 9))})
+        for tail in (rng.randint(-40, -1), 0, rng.randint(1, 40)):
+            value = VirtualClass(poly, tail).value
+            expected = RationalU(poly) + tail * TAIL_SERIES
+            assert (value.numerator, value.denominator) \
+                == (expected.numerator, expected.denominator)
+
+
 def test_from_value_decomposition():
     value = RationalU(U ** 2 + U) + 3 * TAIL_SERIES
     cls = VirtualClass.from_value(value)

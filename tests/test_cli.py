@@ -272,6 +272,9 @@ def test_usage_error_is_input_error(capsys):
                                         {"id": "w", "dim": 0},
                                         {"id": "e", "dim": 1}],
                               "boundary": {"e": "vw"}}),
+    (["eval", "affprod(point(), -1)"], None),
+    (["homology", "{file}"], {"ambient_dim": 1, "divisors": [],
+                              "strata": []}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -288,7 +291,8 @@ def test_usage_error_is_input_error(capsys):
         "invalid-complex-report", "homology-nesting-above-json-limit",
         "zeta-nesting-above-json-limit", "cell-count-above-max",
         "cell-id-repeated", "fixed-is-geometric-string",
-        "boundary-not-list"])
+        "boundary-not-list", "affprod-negative-dimension",
+        "complex-without-cells"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

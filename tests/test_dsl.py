@@ -172,6 +172,27 @@ def test_quotient_result_is_not_a_class():
         evaluate(parse_expression("union(quotient(pair()), point())"))
 
 
+def test_quotient_argument_refused_where_it_stands():
+    with pytest.raises(ArityError) as info:
+        parse_expression("union(point(),\n  quotient(pair()))")
+    assert (info.value.line, info.value.column) == (2, 3)
+    assert str(info.value).startswith("argument 2 of union must be")
+    assert str(info.value).endswith(" at line 2, column 3")
+    # a constructed expression is refused on evaluation, with no position
+    built = Expression("union", (Expression("quotient", (
+        Expression("pair", ()),)), Expression("point", ())))
+    with pytest.raises(ArityError) as info:
+        evaluate(built)
+    assert info.value.line is None
+    assert str(info.value) == ("argument 1 of union must be a class-valued "
+                               "expression, not a quotient polynomial")
+
+
+def test_affprod_negative_dimension_is_a_toolkit_error():
+    with pytest.raises(InvalidAtom):
+        evaluate(parse_expression("affprod(point(), -1)"))
+
+
 def test_lift_sign_check_propagates():
     with pytest.raises(NegativeCoefficient):
         evaluate(parse_expression("lift(2u^3 - 1)"))
