@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import index
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -47,11 +48,11 @@ class IntPoly:
         clean = {}
         if coeffs:
             for exp, c in dict(coeffs).items():
+                exp, c = index(exp), index(c)  # TypeError for 1.5, "2", ...
                 if exp < 0:
                     raise ValueError(f"negative exponent {exp} in IntPoly")
-                c = int(c)
                 if c != 0:
-                    clean[int(exp)] = c
+                    clean[exp] = c
         self._coeffs = clean
 
     @classmethod
@@ -459,11 +460,11 @@ class RationalU:
 
     @classmethod
     def zero(cls) -> "RationalU":
-        return cls(0)
+        return cls._coprime(IntPoly.zero(), IntPoly.one())
 
     @classmethod
     def one(cls) -> "RationalU":
-        return cls(1)
+        return cls._coprime(IntPoly.one(), IntPoly.one())
 
     # -- inspection --------------------------------------------------------
 
@@ -471,7 +472,7 @@ class RationalU:
         return self.numerator.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.denominator == IntPoly.one()
+        return self.denominator._coeffs == {0: 1}
 
     @property
     def degree(self):

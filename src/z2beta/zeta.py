@@ -265,7 +265,8 @@ def expand_zeta(form: ZetaClosedForm, order: int) -> list:
             series = _t_mul(series, geometric, order)
         pieces.append((term.coefficient.denominator, series))
     total = _over_denominators(pieces)
-    return [(n, total.get(n, RationalU.zero())) for n in range(1, order + 1)]
+    return [(n, total[n] if n in total else RationalU.zero())
+            for n in range(1, order + 1)]
 
 
 def _t_mul(a: dict, b: dict, order: int) -> dict:

@@ -77,6 +77,19 @@ def test_ring_results_hold_no_zero_entries():
         (U ** 3 + 1).shift(-1)
 
 
+def test_constructor_refuses_non_integral_entries():
+    for coeffs in ({1.5: 2}, {1: 2.7}, {1.5: 2.7}, {1: 0.5}, {2.0: 1},
+                   {1: Fraction(1, 2)}, {"1": 2}, {1: "2"}):
+        with pytest.raises(TypeError):
+            IntPoly(coeffs)
+    with pytest.raises(TypeError):
+        RationalU(IntPoly({1: 0.5}), 2)
+    assert IntPoly({True: True, 2: 3}) == IntPoly({1: 1, 2: 3})
+    assert dict(IntPoly({0: 0, 3: -2}).coefficients) == {3: -2}
+    with pytest.raises(ValueError):
+        IntPoly({-1: 1})
+
+
 def test_poly_degree_and_valuation():
     assert IntPoly.zero().degree == NEG_INFINITY
     assert (U ** 5 + U).degree == 5

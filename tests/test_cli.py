@@ -1,9 +1,11 @@
 """The command line front end: output formats and exit codes."""
 
 import json
+import sys
 
 import pytest
 
+from z2beta import cli
 from z2beta.algebra import IntPoly, RationalU, laurent_expand
 from z2beta.calculus import Atom, atom_class
 from z2beta.cli import format_class, format_output, format_window, main
@@ -217,6 +219,68 @@ def test_missing_file_is_input_error(capsys):
 def test_usage_error_is_input_error(capsys):
     assert main(["zeta"]) == 1
     assert main(["frobnicate"]) == 1
+
+
+USAGE_ARGV = [
+    [], ["-h"], ["--help"], ["eval", "-h"], ["homology", "-h"],
+    ["zeta", "-h"], ["oracle", "-h"], ["verify", "-h"], ["bogus"], ["ev"],
+    ["--bogus", "eval", "point()"], ["eval", "point()", "extra"],
+    ["eval", "point()", "--bogus"], ["zeta", "{file}", "--sign", "q"],
+    ["verify", "--suite", "x"], ["oracle", "0"], ["oracle", "2000"],
+    ["eval", "point()", "--expand", "x"],
+]
+
+
+def _run_main(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); --help exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV,
+                         ids=[" ".join(a) or "none" for a in USAGE_ARGV])
+def test_one_verb_parser_prints_as_the_full_one(argv, x2y4_file, capsys,
+                                                monkeypatch):
+    # argparse wording differs between Python versions, so the golden
+    # corpus leaves it out; this compares it on whichever Python runs
+    argv = [arg.format(file=x2y4_file) for arg in argv]
+    built = _run_main(argv, capsys)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full_parser())
+    assert built == _run_main(argv, capsys)
+
+
+def _count_parsers(monkeypatch):
+    count = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        count.append(1)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    return count
+
+
+def test_main_builds_only_the_named_verb(monkeypatch, capsys):
+    count = _count_parsers(monkeypatch)
+    assert main(["eval", "point()"]) == 0
+    assert len(count) == 2
+    count.clear()
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert len(count) == 6
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    count = _count_parsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["z2beta", "eval", "point()"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("u/(u - 1)\n")
+    assert len(count) == 2
 
 
 @pytest.mark.parametrize("argv, content", [
