@@ -1,5 +1,8 @@
 """Equivariant homology of the curated complexes against the known tables."""
 
+import json
+import random
+
 import pytest
 
 from z2beta.algebra import IntPoly, RationalU
@@ -87,6 +90,14 @@ def test_cell_count_bound():
         GCWComplex({f"v{i}": 0 for i in range(MAX_CELLS + 1)})
 
 
+@pytest.mark.parametrize("dim", [0.7, "1", 1.0, None])
+def test_cell_dimension_must_be_an_integer(dim):
+    # a float or string is refused, not cast, as by from_dict
+    with pytest.raises(InvalidComplex, match="cell dimensions must be integers"):
+        GCWComplex({"v": 0, "e": dim}, boundary={"e": ["v", "v"]})
+    assert GCWComplex({"v": False, "e": True}).cells == {"v": 0, "e": 1}
+
+
 @pytest.mark.parametrize("ids", [(1, 1), ("1", 1)])
 def test_duplicate_cell_ids_compare_as_stored(ids):
     # cell ids are stored as text, so ids that print alike are one id
@@ -150,6 +161,31 @@ def test_square_to_zero_checked_on_every_query(monkeypatch):
     for n in (-1, -3):
         with pytest.raises(InvalidComplex, match=f"degree {n + 1}$"):
             equivariant_homology(point, n)
+
+
+def _apply_per_bit(columns, vector, start):
+    """Reference for ``_apply``: one loop step per bit position."""
+    out = 0
+    vector >>= start
+    j = start
+    while vector:
+        if vector & 1:
+            out ^= columns[j]
+        vector >>= 1
+        j += 1
+    return out
+
+
+def test_apply_matches_per_bit_walk():
+    rng = random.Random(0)
+    for size in (0, 1, 2, 5, 64, 300):
+        columns = [rng.getrandbits(size) for _ in range(size)]
+        vectors = [0, (1 << size) - 1] + [rng.getrandbits(size)
+                                          for _ in range(4)]
+        for start in range(size + 1):  # every vector has bits below start
+            for v in vectors:
+                assert homology._apply(columns, v, start) \
+                    == _apply_per_bit(columns, v, start)
 
 
 def test_negative_tail_ranked_once(monkeypatch):
@@ -380,6 +416,20 @@ def test_product_fixed_circle_by_circle():
     expected = atom_class(Atom.sphere(1, "with_fixed_point")).value \
         * RationalU(U + 1)
     assert equivariant_betti_series(prod).value == expected
+
+
+def test_one_string_per_cell_id():
+    # every face and sigma image is the key object of ``cells``, in the
+    # product and after a JSON round trip, which makes fresh strings
+    prod = product_with_trivial(sphere_complex(2, "antipodal"),
+                                sphere_complex(1, "trivial"))
+    loaded = GCWComplex.from_dict(json.loads(json.dumps(prod.to_dict())))
+    for cw in (prod, loaded):
+        key = {c: c for c in cw.cells}
+        for cell, faces in cw.boundary.items():
+            assert cell is key[cell]
+            assert all(f is key[f] for f in faces)
+        assert all(a is key[a] and b is key[b] for a, b in cw.sigma.items())
 
 
 def test_product_requires_trivial_second_factor():

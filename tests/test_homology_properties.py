@@ -1,0 +1,112 @@
+"""Homology of random invariant subcomplexes against two exact relations.
+
+Every draw is a set of cells of one base complex, closed under the
+involution and under faces, so it is a finite G-CW complex in its own
+right.  Two relations hold on any such X (Bredon 1972, *Introduction to
+Compact Transformation Groups*, ch. III):
+
+* localization: the fixed tail of the equivariant series is the total F2
+  Betti number of the fixed set X^G, and the Smith inequality bounds it by
+  the total F2 Betti number of X;
+* for a free action, H^G_n(X) = H_n(X/G; F2), the homology of the orbit
+  complex.
+
+The bases are the antipodal and the reflection S^1..S^3, each times
+(S^1)^0..2.  Every nonempty subcomplex of a reflection base holds a fixed
+vertex, and no subcomplex of an antipodal base has a fixed cell, so the
+free draws come from the antipodal bases.
+"""
+
+import pytest
+
+from z2beta.complexes import sphere_complex
+from z2beta.homology import (
+    GCWComplex,
+    equivariant_betti_series,
+    equivariant_homology,
+    fixed_subcomplex,
+    plain_homology,
+    product_with_trivial,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+SETTINGS = hypothesis.settings(max_examples=200, deadline=None,
+                               derandomize=True, database=None)
+
+
+def reflection_sphere(d: int) -> GCWComplex:
+    """S^d with the reflection in its equator: fixed cells c_q^+ and c_q^-
+    for q < d, and two d-cells exchanged by the involution."""
+    cells, boundary = {}, {}
+    for q in range(d):
+        cells[f"c{q}+"] = cells[f"c{q}-"] = q
+    for cell in ("h+", "h-"):
+        cells[cell] = d
+    for cell, q in cells.items():
+        if q >= 1:
+            boundary[cell] = [f"c{q - 1}+", f"c{q - 1}-"]
+    return GCWComplex(cells, boundary, {"h+": "h-", "h-": "h+"},
+                      fixed_is_geometric=True)
+
+
+def with_circles(x: GCWComplex, k: int) -> GCWComplex:
+    for _ in range(k):
+        x = product_with_trivial(x, sphere_complex(1, "trivial"))
+    return x
+
+
+FREE_BASES = [with_circles(sphere_complex(d, "antipodal"), k)
+              for d in (1, 2, 3) for k in (0, 1, 2)]
+BASES = FREE_BASES + [with_circles(reflection_sphere(d), k)
+                      for d in (1, 2, 3) for k in (0, 1, 2)]
+
+
+@st.composite
+def subcomplexes(draw, bases):
+    """A random cell set of a base, closed under sigma and faces."""
+    base = draw(st.sampled_from(bases))
+    todo = list(draw(st.sets(st.sampled_from(sorted(base.cells)),
+                             min_size=1, max_size=8)))
+    kept = set()
+    while todo:
+        cell = todo.pop()
+        if cell not in kept:
+            kept.add(cell)
+            todo.append(base.sigma[cell])
+            todo.extend(base.boundary.get(cell, ()))
+    return GCWComplex({c: base.cells[c] for c in kept},
+                      {c: base.boundary[c] for c in kept if c in base.boundary},
+                      {c: base.sigma[c] for c in kept},
+                      fixed_is_geometric=True)
+
+
+def total_betti(x: GCWComplex) -> int:
+    return sum(plain_homology(x, n) for n in range(x.top_dimension + 1))
+
+
+def orbit_complex(x: GCWComplex) -> GCWComplex:
+    """X/G for a free X: one cell per orbit, named by its least cell, with
+    the boundary of that cell carried to orbits (reduced mod 2)."""
+    orbit = {c: min(c, x.sigma[c]) for c in x.cells}
+    return GCWComplex({o: x.cells[o] for o in set(orbit.values())},
+                      {o: [orbit[f] for f in x.boundary.get(o, ())]
+                       for o in set(orbit.values())})
+
+
+@SETTINGS
+@hypothesis.given(subcomplexes(BASES))
+def test_tail_is_fixed_set_homology_and_obeys_smith(x):
+    tail = total_betti(fixed_subcomplex(x))
+    assert equivariant_betti_series(x).fixed_tail == tail
+    assert tail <= total_betti(x)
+
+
+@SETTINGS
+@hypothesis.given(subcomplexes(FREE_BASES))
+def test_free_action_equals_orbit_complex_homology(x):
+    assert all(x.sigma[c] != c for c in x.cells)
+    quotient = orbit_complex(x)
+    for n in range(-2, x.top_dimension + 2):
+        assert equivariant_homology(x, n) == plain_homology(quotient, n), n
