@@ -28,18 +28,22 @@ blocks C_0 .. C_top, so the differentials in and out are the same matrices:
 H_{-1} is the whole negative tail, exactly, with no stabilisation window.
 
 A GCWComplex is immutable and its constructor runs ``validate_complex``,
-so each complex is validated once.  Its total differential is built once,
-on its first homology query.
-
-Ranks are taken by dense Gaussian elimination over F2 with Python integers
-as bit rows.
+so each complex is validated once.  Its total differential is built on its
+first homology query.  Every rank a query needs is the rank of a suffix of
+the columns (homology), of a prefix of the rows (cohomology) or of one
+boundary block (plain homology), so each family is taken once per complex,
+by one Gaussian elimination over F2 with Python integers as bit columns,
+and each degree reads two of its ranks.  The check that the total
+differential squares to zero is computed once too, and still raised by
+every equivariant homology query it concerns.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, pairwise
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -57,9 +61,11 @@ from .errors import (
 #: lone cell of this dimension takes about 0.02 s on a 2-CPU VM.
 MAX_DIMENSION = 1024
 
-#: Largest cell count: ``equivariant_betti_series`` of the antipodal S^3
-#: times (S^1)^8, 2048 cells, takes about 0.04 s on a 2-CPU VM (0.015 s at
-#: 1024 cells, 0.3 s at 8192).
+#: Largest cell count: on a 2-CPU VM ``equivariant_betti_series`` takes
+#: about 0.007 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
+#: faces each, and 0.014 s on the denser antipodal S^7 times the fixed S^7
+#: and S^3 (two cells per dimension), 2048 cells with 5 faces each (0.06 s
+#: on the sparse tower at 8192 cells, 0.08 s on a dense one at 5832).
 MAX_CELLS = 2048
 
 
@@ -219,7 +225,10 @@ def validate_complex(x: GCWComplex) -> list:
 # ---------------------------------------------------------------------------
 # F2 linear algebra: a map is a list of column bitmasks
 
-def gf2_rank(columns) -> int:
+def gf2_rank(columns, ranks=None) -> int:
+    """Rank over F2; given a list ``ranks``, the rank of every nonempty
+    prefix of ``columns`` is appended to it, so one elimination ranks them
+    all."""
     pivots = {}
     rank = 0
     for v in columns:
@@ -231,6 +240,8 @@ def gf2_rank(columns) -> int:
                 pivots[top] = v
                 rank += 1
                 break
+        if ranks is not None:
+            ranks.append(rank)
     return rank
 
 
@@ -247,19 +258,15 @@ def _apply(columns, vector: int, start: int) -> int:
     return out
 
 
-def _masked_rank(columns, end: int) -> int:
-    """Rank of ``columns`` restricted to the rows before position ``end``."""
-    mask = (1 << end) - 1
-    return gf2_rank([col & mask for col in columns])
-
-
 class _ChainData:
-    """The total differential of one complex as one matrix.
+    """The total differential of one complex as one matrix, and the ranks
+    that the homology queries read.
 
     Cells are sorted by (dimension, id) and column i, over rows in the same
     order, is boundary(cell i) + (1 + sigma)(cell i).  ``start[q]`` is the
     position of the first cell of dimension q, and ``start[top + 1]`` the
-    cell count."""
+    cell count.  Each family of ranks, and the square-to-zero defects, is
+    computed from the columns on the first query that reads it."""
 
     def __init__(self, x: GCWComplex):
         order = sorted(x.cells, key=lambda c: (x.cells[c], c))
@@ -275,29 +282,88 @@ class _ChainData:
                 col ^= 1 << index[f]
             self.columns.append(col)
 
-    def pos(self, q: int) -> int:
-        """Position of the first cell of dimension >= q."""
-        return self.start[min(max(q, 0), len(self.start) - 1)]
+    def block(self, q: int) -> int:
+        """The block that degree ``q`` starts at: q clamped to 0 .. top + 1."""
+        return min(max(q, 0), len(self.start) - 1)
+
+    @cached_property
+    def suffix_ranks(self) -> list:
+        """The rank of ``columns[start[q]:]`` for every block q."""
+        ranks = [0]
+        gf2_rank(self.columns[::-1], ranks)
+        return [ranks[len(self.columns) - s] for s in self.start]
+
+    @cached_property
+    def row_ranks(self) -> list:
+        """The rank of the rows before ``start[q]`` for every block q.  No
+        column after block q has an entry in those rows, so this is the
+        rank of ``columns[:start[q + 1]]`` with the rows from ``start[q]``
+        on masked off."""
+        rows = [0] * len(self.columns)
+        for j, col in enumerate(self.columns):
+            while col:
+                low = col & -col
+                rows[low.bit_length() - 1] |= 1 << j
+                col ^= low
+        ranks = [0]
+        gf2_rank(rows, ranks)
+        return [ranks[s] for s in self.start]
+
+    @cached_property
+    def boundary_ranks(self) -> list:
+        """The rank of the boundary of every block q: its columns with the
+        rows from ``start[q]`` on masked off (0 for the empty block top +
+        1).  The blocks hit disjoint rows, so one elimination ranks all."""
+        masked = [self.columns[i] & ((1 << s) - 1)
+                  for s, e in pairwise(self.start) for i in range(s, e)]
+        ranks = [0]
+        gf2_rank(masked, ranks)
+        return [ranks[e] - ranks[s] for s, e in pairwise(self.start)] + [0]
+
+    @cached_property
+    def _square_defects(self) -> tuple:
+        """The last column i with D(D e_i) != 0 among the columns with no
+        bit below the block under their own, and the list of the columns
+        that do reach lower (empty for a valid complex)."""
+        last, reaching = -1, []
+        for q, (s, e) in enumerate(pairwise(self.start)):
+            below = (1 << self.start[max(q - 1, 0)]) - 1
+            for i in range(s, e):
+                if self.columns[i] & below:
+                    reaching.append(i)
+                elif _apply(self.columns, self.columns[i], 0):
+                    last = i
+        return last, reaching
+
+    def squares_to_zero(self, n: int) -> bool:
+        """Whether D(D e_i), with D restricted to the columns of degree n,
+        is zero for every column i of degree n + 1.  A column of block q
+        without bits below block q - 1 only selects columns from block q - 1
+        on, all of degree n, so its square needs no restriction."""
+        lo, hi = self.start[self.block(n)], self.start[self.block(n + 1)]
+        last, reaching = self._square_defects
+        return last < hi and not any(
+            _apply(self.columns, self.columns[i], lo)
+            for i in reaching if i >= hi)
 
 
 def equivariant_homology(x: GCWComplex, n: int) -> int:
     """dim over F2 of the n-th equivariant Borel-Moore homology group."""
     data = x._chain_data()
-    cols, lo, hi = data.columns, data.pos(n), data.pos(n + 1)
-    # the total differential squares to zero
-    for col in cols[hi:]:
-        if _apply(cols, col, lo):
-            raise InvalidComplex(
-                f"total differential fails to square to zero in degree {n + 1}")
-    return len(cols) - lo - gf2_rank(cols[lo:]) - gf2_rank(cols[hi:])
+    if not data.squares_to_zero(n):
+        raise InvalidComplex(
+            f"total differential fails to square to zero in degree {n + 1}")
+    lo, hi = data.block(n), data.block(n + 1)
+    ranks = data.suffix_ranks
+    return len(data.columns) - data.start[lo] - ranks[lo] - ranks[hi]
 
 
 def plain_homology(x: GCWComplex, n: int) -> int:
     """Ordinary cellular F2 homology dimension (the involution is ignored)."""
     data = x._chain_data()
-    cols, lo, mid = data.columns, data.pos(n), data.pos(n + 1)
-    return (mid - lo - _masked_rank(cols[lo:mid], lo)
-            - _masked_rank(cols[mid:data.pos(n + 2)], mid))
+    lo, mid = data.block(n), data.block(n + 1)
+    ranks = data.boundary_ranks
+    return data.start[mid] - data.start[lo] - ranks[lo] - ranks[mid]
 
 
 def equivariant_cohomology(x: GCWComplex, n: int) -> int:
@@ -308,9 +374,9 @@ def equivariant_cohomology(x: GCWComplex, n: int) -> int:
     its rank; valid because the accepted complexes are compact.
     """
     data = x._chain_data()
-    cols, lo, mid = data.columns, data.pos(n), data.pos(n + 1)
-    return (mid - _masked_rank(cols[:data.pos(n + 2)], mid)
-            - _masked_rank(cols[:mid], lo))
+    lo, mid = data.block(n), data.block(n + 1)
+    ranks = data.row_ranks
+    return data.start[mid] - ranks[mid] - ranks[lo]
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +394,7 @@ class HomologyResult(NamedTuple):
 def homology_table(x: GCWComplex, n_min: int, n_max: int) -> HomologyResult:
     if n_min > n_max:
         raise ToolkitError(f"empty degree range {n_min}..{n_max}")
-    dims = {}
-    for n in range(n_max, n_min - 1, -1):
-        # every degree below -1 has the blocks, so the dimension, of H_{-1}
-        dims[n] = dims[n + 1] if n < -1 and n + 1 in dims \
-            else equivariant_homology(x, n)
+    dims = {n: equivariant_homology(x, n) for n in range(n_max, n_min - 1, -1)}
     stable = dims[n_min] if n_min <= -2 and n_min < n_max else None
     return HomologyResult(dims, stable)
 

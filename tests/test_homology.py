@@ -189,21 +189,76 @@ def test_apply_matches_per_bit_walk():
 
 
 def test_negative_tail_ranked_once(monkeypatch):
+    # every equivariant homology degree reads the ranks of one elimination
     calls = []
     real = homology.gf2_rank
 
-    def counting(columns):
+    def counting(columns, *args):
         calls.append(len(columns))
-        return real(columns)
+        return real(columns, *args)
 
     monkeypatch.setattr(homology, "gf2_rank", counting)
     cw = sphere_complex(2, "antipodal")
-    counts = []
-    for n_min in (-5, -1):
-        calls.clear()
-        homology_table(cw, n_min, 3)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+    homology_table(cw, -5, 3)
+    homology_table(cw, -1, 3)
+    equivariant_betti_series(cw)
+    for n in range(-3, 5):
+        equivariant_homology(cw, n)
+    assert calls == [len(cw.cells)]
+
+
+def _square_fails_per_query(data, n):
+    """Reference for the square-to-zero check: every column of degree
+    n + 1 through the columns of degree n, one ``_apply`` each."""
+    cols = data.columns
+    last = len(data.start) - 1
+    lo = data.start[min(max(n, 0), last)]
+    hi = data.start[min(max(n + 1, 0), last)]
+    return any(homology._apply(cols, col, lo) for col in cols[hi:])
+
+
+def test_square_check_matches_per_query_reference(monkeypatch):
+    flips = []
+
+    class Tampered(homology._ChainData):
+        def __init__(self, x):
+            super().__init__(x)
+            for i, bit in flips:
+                self.columns[i] ^= 1 << bit
+
+    untampered = homology._ChainData
+    monkeypatch.setattr(homology, "_ChainData", Tampered)
+    rng = random.Random(0)
+    outcomes = set()
+    antipodal = sphere_complex(5, "antipodal")
+    for trial in range(90):
+        if trial % 3 == 0:
+            cw = product_with_trivial(sphere_complex(3, "antipodal"),
+                                      sphere_complex(2, "trivial"))
+        else:  # S^5, antipodal or with every cell fixed
+            cw = GCWComplex(dict(antipodal.cells), antipodal.boundary,
+                            antipodal.sigma if trial % 3 == 1 else None)
+        start = untampered(cw).start
+        flips.clear()
+        if trial % 2:
+            # a top-block column gains a bit two blocks down; when no other
+            # column hits it, only the degrees that reach that bit fail
+            top = len(start) - 2
+            flips.append((rng.randrange(start[top], start[top + 1]),
+                          rng.randrange(start[top - 2], start[top - 1])))
+        flips += [(rng.randrange(start[-1]), rng.randrange(start[-1]))
+                  for _ in range(rng.randrange(3))]
+        data = cw._chain_data()
+        for n in range(-3, cw.top_dimension + 3):
+            fails = _square_fails_per_query(data, n)
+            outcomes.add(fails)
+            if fails:
+                with pytest.raises(InvalidComplex,
+                                   match=f"square to zero in degree {n + 1}$"):
+                    equivariant_homology(cw, n)
+            else:
+                equivariant_homology(cw, n)
+    assert outcomes == {False, True}
 
 
 def test_complex_is_immutable():
