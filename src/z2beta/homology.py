@@ -225,12 +225,12 @@ def validate_complex(x: GCWComplex) -> list:
 # ---------------------------------------------------------------------------
 # F2 linear algebra: a map is a list of column bitmasks
 
-def gf2_rank(columns, ranks=None) -> int:
-    """Rank over F2; given a list ``ranks``, the rank of every nonempty
-    prefix of ``columns`` is appended to it, so one elimination ranks them
-    all."""
+def gf2_rank(columns) -> list:
+    """Ranks over F2 of every prefix of ``columns`` from one elimination:
+    entry k is the rank of ``columns[:k]``, so the last is the full rank."""
     pivots = {}
     rank = 0
+    ranks = [0]
     for v in columns:
         while v:
             top = v.bit_length() - 1
@@ -240,9 +240,8 @@ def gf2_rank(columns, ranks=None) -> int:
                 pivots[top] = v
                 rank += 1
                 break
-        if ranks is not None:
-            ranks.append(rank)
-    return rank
+        ranks.append(rank)
+    return ranks
 
 
 def _apply(columns, vector: int, start: int) -> int:
@@ -289,8 +288,7 @@ class _ChainData:
     @cached_property
     def suffix_ranks(self) -> list:
         """The rank of ``columns[start[q]:]`` for every block q."""
-        ranks = [0]
-        gf2_rank(self.columns[::-1], ranks)
+        ranks = gf2_rank(self.columns[::-1])
         return [ranks[len(self.columns) - s] for s in self.start]
 
     @cached_property
@@ -305,8 +303,7 @@ class _ChainData:
                 low = col & -col
                 rows[low.bit_length() - 1] |= 1 << j
                 col ^= low
-        ranks = [0]
-        gf2_rank(rows, ranks)
+        ranks = gf2_rank(rows)
         return [ranks[s] for s in self.start]
 
     @cached_property
@@ -316,8 +313,7 @@ class _ChainData:
         1).  The blocks hit disjoint rows, so one elimination ranks all."""
         masked = [self.columns[i] & ((1 << s) - 1)
                   for s, e in pairwise(self.start) for i in range(s, e)]
-        ranks = [0]
-        gf2_rank(masked, ranks)
+        ranks = gf2_rank(masked)
         return [ranks[e] - ranks[s] for s, e in pairwise(self.start)] + [0]
 
     @cached_property

@@ -121,7 +121,7 @@ def test_free_action_equals_orbit_complex_homology(x):
 def _masked_rank(columns, end):
     """Rank of ``columns`` restricted to the rows before position ``end``."""
     mask = (1 << end) - 1
-    return gf2_rank([col & mask for col in columns])
+    return gf2_rank([col & mask for col in columns])[-1]
 
 
 def per_query_dims(x: GCWComplex, n: int) -> tuple:
@@ -135,7 +135,8 @@ def per_query_dims(x: GCWComplex, n: int) -> tuple:
         return data.start[min(max(q, 0), last)]
 
     lo, mid, end = pos(n), pos(n + 1), pos(n + 2)
-    return (len(cols) - lo - gf2_rank(cols[lo:]) - gf2_rank(cols[mid:]),
+    return (len(cols) - lo - gf2_rank(cols[lo:])[-1]
+            - gf2_rank(cols[mid:])[-1],
             mid - lo - _masked_rank(cols[lo:mid], lo)
             - _masked_rank(cols[mid:end], mid),
             mid - _masked_rank(cols[:end], mid) - _masked_rank(cols[:mid], lo))
