@@ -14,8 +14,8 @@ The package has five layers:
 * :mod:`z2beta.dsl` / :mod:`z2beta.cli` -- the expression language and the
   command line front end.
 
-Everything is exact: integers, integer polynomials and their fractions.  No
-floating point is used anywhere.
+Every value and printed coefficient is exact: integers, integer polynomials
+and their fractions.  The one float is ``NEG_INFINITY``, the degree of zero.
 """
 
 from .algebra import IntPoly, LaurentWindow, RationalU, laurent_expand

@@ -20,6 +20,7 @@ class of a point times a point).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import NamedTuple
 
 from .algebra import TAIL_SERIES, U_MINUS_ONE, IntPoly, RationalU
@@ -279,13 +280,12 @@ def atom_class(atom: Atom) -> VirtualClass:
         return VirtualClass(IntPoly.geometric_sum(1, atom.dim), 1,
                             dim_hint=atom.dim)
     if atom.kind == "custom":
-        tail = int(atom.fixed_poly.evaluate(1))
-        rest = atom.value - tail * TAIL_SERIES
-        if not rest.is_polynomial():
-            raise InvalidAtom(
-                f"custom value {atom.value} is not in normal form with fixed "
-                f"polynomial {atom.fixed_poly}")
-        return VirtualClass(rest.numerator, tail, atom.dim)
+        with suppress(NormalFormError):
+            cls = VirtualClass.from_value(atom.value, atom.dim)
+            if cls.fixed_tail == atom.fixed_poly.evaluate(1):
+                return cls
+        raise InvalidAtom(f"custom value {atom.value} is not in normal form "
+                          f"with fixed polynomial {atom.fixed_poly}")
     raise InvalidAtom(f"unknown atom kind {atom.kind!r}")
 
 

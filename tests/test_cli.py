@@ -337,6 +337,7 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
                                         {"id": "e", "dim": 1}],
                               "boundary": {"e": "vw"}}),
     (["eval", "affprod(point(), -1)"], None),
+    (["eval", "custom(1/(u^2 - 2u + 1), 1, 1)"], None),
     (["homology", "{file}"], {"ambient_dim": 1, "divisors": [],
                               "strata": []}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
@@ -356,6 +357,7 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         "zeta-nesting-above-json-limit", "cell-count-above-max",
         "cell-id-repeated", "fixed-is-geometric-string",
         "boundary-not-list", "affprod-negative-dimension",
+        "custom-double-pole",
         "complex-without-cells"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):

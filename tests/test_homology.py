@@ -279,37 +279,7 @@ def test_boundary_reduced_mod_two():
 
 
 # ---------------------------------------------------------------------------
-# tables from the worked examples
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_trivial_sphere_table(d):
-    sphere = sphere_complex(d, "trivial")
-    for n in range(d, -6, -1):
-        expected = 1 if 1 <= n <= d else (2 if n <= 0 else 0)
-        assert equivariant_homology(sphere, n) == expected, n
-    assert equivariant_homology(sphere, d + 1) == 0
-
-
-def test_antipodal_circle_table():
-    circle = sphere_complex(1, "antipodal")
-    assert equivariant_homology(circle, 1) == 1
-    assert equivariant_homology(circle, 0) == 1
-    for n in (-1, -2, -3, 2, 3):
-        assert equivariant_homology(circle, n) == 0
-
-
-def test_swapped_pair_table():
-    pair = swapped_pair_complex()
-    assert equivariant_homology(pair, 0) == 1
-    for n in (-2, -1, 1):
-        assert equivariant_homology(pair, n) == 0
-
-
-def test_point_table():
-    point = point_complex()
-    for n in range(-4, 3):
-        assert equivariant_homology(point, n) == (1 if n <= 0 else 0)
-
+# the table record
 
 def test_homology_table_object():
     table = homology_table(sphere_complex(2, "trivial"), -4, 3)
@@ -350,30 +320,6 @@ def test_trivial_action_reduces_to_plain():
 
 # ---------------------------------------------------------------------------
 # series extraction and the bridge to the atoms
-
-BRIDGE = [
-    (point_complex, (), Atom.point()),
-    (swapped_pair_complex, (), Atom.pair()),
-    (sphere_complex, (1, "antipodal"), Atom.sphere(1, "free")),
-    (sphere_complex, (1, "with_fixed_point"), Atom.sphere(1, "with_fixed_point")),
-    (sphere_complex, (1, "trivial"), Atom.sphere(1, "trivial")),
-    (sphere_complex, (2, "trivial"), Atom.sphere(2, "trivial")),
-    (sphere_complex, (3, "trivial"), Atom.sphere(3, "trivial")),
-]
-
-
-@pytest.mark.parametrize("builder,args,atom", BRIDGE)
-def test_series_equals_atom_class(builder, args, atom):
-    assert equivariant_betti_series(builder(*args)) == atom_class(atom)
-
-
-def test_series_normal_form_values():
-    assert equivariant_betti_series(point_complex()).value == RationalU(U, U - 1)
-    fixed_circle = equivariant_betti_series(sphere_complex(1, "with_fixed_point"))
-    assert fixed_circle.poly_part == U and fixed_circle.fixed_tail == 2
-    free_circle = equivariant_betti_series(sphere_complex(1, "antipodal"))
-    assert free_circle.value == RationalU(U + 1)
-
 
 def test_reflection_circle_matches_fixed_point_series():
     # two fixed vertices, two swapped edges: a different cellular model of a

@@ -146,26 +146,8 @@ def test_load_from_file(tmp_path):
 # ---------------------------------------------------------------------------
 # closed forms
 
-def test_signed_zeta_x2y4():
-    got = dl_zeta_signed(x2_plus_y4_resolution(), "+")
-    expected = closed((RationalU(U - 1), (A, B)),
-                      (RationalU(U), (A,)),
-                      (RationalU(U), (B,)))
-    assert got == expected
-    assert zeta_equal(got, expected)
-
-
 def test_minus_zeta_x2y4_is_zero():
     assert dl_zeta_signed(x2_plus_y4_resolution(), "-").is_zero()
-
-
-def test_naive_zeta_x2y4():
-    got = dl_zeta_naive(x2_plus_y4_resolution())
-    expected = closed((RationalU((U - 1) ** 2), (A, B)),
-                      (RationalU((U - 1) * U), (A,)),
-                      (RationalU((U - 1) * U), (B,)))
-    assert got == expected
-    assert zeta_equal(got, expected)
 
 
 def test_monomial_closed_forms():
