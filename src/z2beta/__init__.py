@@ -32,7 +32,6 @@ from .calculus import (
     affine_product,
     atom_class,
     blowup_class,
-    check_degree,
     curve_example,
     difference,
     free_quotient,
@@ -83,7 +82,6 @@ __all__ = [
     "arc_class",
     "atom_class",
     "blowup_class",
-    "check_degree",
     "check_sign_identity",
     "compare_with_dl",
     "curve_example",

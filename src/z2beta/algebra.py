@@ -838,21 +838,30 @@ def laurent_expand(f: RationalU, depth: int) -> LaurentWindow:
     return LaurentWindow(top, tuple(coeffs), tail)
 
 
-def _detect_constant_tail(f: RationalU, bottom: int):
-    """The constant value of all coefficients below the window, if provable.
-
-    Writing f = h + c*u/(u-1) with c = ((u-1)f)(1), the tail is c exactly
-    when h is a Laurent polynomial (denominator a power of u) and the window
-    already covers every exponent where h or the constant head differ.
-    """
+def split_tail(f: RationalU):
+    """(c, f - c*u/(u-1)) with c = ((u-1)f)(1), the fixed tail of f and the
+    rest; None when (u-1)^2 divides the denominator or c is not an integer."""
     try:
         c_value = (f * U_MINUS_ONE).eval_at(1)
     except PoleAtPoint:
-        return None  # (u-1) divides the denominator more than once
+        return None
     if c_value.denominator != 1:
         return None
     c = int(c_value)
-    h = f - c * TAIL_SERIES
+    return c, f - c * TAIL_SERIES
+
+
+def _detect_constant_tail(f: RationalU, bottom: int):
+    """The constant value of all coefficients below the window, if provable.
+
+    Writing f = h + c*u/(u-1) by ``split_tail``, the tail is c exactly when
+    h is a Laurent polynomial (denominator a power of u) and the window
+    already covers every exponent where h or the constant head differ.
+    """
+    split = split_tail(f)
+    if split is None:
+        return None
+    c, h = split
     den = h.denominator
     if den.term_count() > 1 or den.leading_coefficient != 1:
         return None  # not a Laurent polynomial

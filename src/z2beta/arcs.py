@@ -51,7 +51,7 @@ def _base_class(germ: MonomialGerm, m: int, sign: str) -> VirtualClass:
         return VirtualClass.zero()
     if m % 2 == 1:
         return atom_class(Atom.pair())
-    return VirtualClass(IntPoly.zero(), 2, dim_hint=0)
+    return VirtualClass(IntPoly.zero(), 2)
 
 
 def arc_class(germ: MonomialGerm, n: int, sign: str) -> VirtualClass:

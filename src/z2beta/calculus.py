@@ -7,9 +7,10 @@ arc-symmetric sets under the equivariant series, in the normal form
 
 where P has integer coefficients and the integer c >= 0 is the ordinary
 virtual Poincare polynomial of the fixed point set evaluated at 1.   A class
-stores only the pair (P, c) and derives the value from it, so every class is
-in normal form by construction; only ``VirtualClass.from_value``, which
-decomposes an arbitrary rational function, can fail to find one.
+is the pair (P, c) and nothing else; its value is derived from it, so every
+class is in normal form by construction.  Only ``VirtualClass.from_value``,
+which decomposes an arbitrary rational function through
+``algebra.split_tail``, can fail to find one.
 
 Only the group operations plus multiplication by affine factors are exposed.
 A general ring product of two classes is deliberately absent: the series is
@@ -23,15 +24,13 @@ from __future__ import annotations
 from contextlib import suppress
 from typing import NamedTuple
 
-from .algebra import TAIL_SERIES, U_MINUS_ONE, IntPoly, RationalU
+from .algebra import TAIL_SERIES, U_MINUS_ONE, IntPoly, RationalU, split_tail
 from .errors import (
     AssertionMissing,
     InvalidAtom,
-    MissingDimHint,
     NegativeCoefficient,
     NormalFormError,
     NotFree,
-    PoleAtPoint,
 )
 
 ACTION_FREE = "free"
@@ -45,18 +44,15 @@ class VirtualClass:
 
     The state is the decomposition: ``poly_part`` P (an int is taken as a
     constant) and ``fixed_tail`` c; ``value`` is P + c*u/(u-1), derived on
-    first use and kept.  ``dim_hint`` is an optional dimension claim used by
-    ``check_degree``.  The normal form is unique, so equality and hashing
-    compare (P, c) and ignore the advisory hint.
+    first use and kept.  The normal form is unique, so equality and hashing
+    compare (P, c).
     """
 
-    __slots__ = ("poly_part", "fixed_tail", "dim_hint", "_value")
+    __slots__ = ("poly_part", "fixed_tail", "_value")
 
-    def __init__(self, poly_part: IntPoly, fixed_tail: int,
-                 dim_hint: int | None = None):
+    def __init__(self, poly_part: IntPoly, fixed_tail: int):
         object.__setattr__(self, "poly_part", poly_part)
         object.__setattr__(self, "fixed_tail", fixed_tail)
-        object.__setattr__(self, "dim_hint", dim_hint)
         object.__setattr__(self, "_value", None)
         self.__post_init__()
 
@@ -86,23 +82,16 @@ class VirtualClass:
 
     def __repr__(self):
         return (f"VirtualClass(poly_part={self.poly_part!r}, "
-                f"fixed_tail={self.fixed_tail!r}, dim_hint={self.dim_hint!r})")
+                f"fixed_tail={self.fixed_tail!r})")
 
     @classmethod
-    def from_value(cls, value: RationalU, dim_hint=None) -> "VirtualClass":
+    def from_value(cls, value: RationalU) -> "VirtualClass":
         """Decompose a rational function into normal form, or fail."""
-        try:
-            tail_value = (value * U_MINUS_ONE).eval_at(1)
-        except PoleAtPoint as exc:
-            raise NormalFormError(
-                f"{value} has a pole of order > 1 at u = 1") from exc
-        if tail_value.denominator != 1:
-            raise NormalFormError(f"tail of {value} is not an integer")
-        tail = int(tail_value)
-        rest = value - tail * TAIL_SERIES
-        if not rest.is_polynomial():
-            raise NormalFormError(f"{value} minus its tail is not a polynomial")
-        return cls(rest.numerator, tail, dim_hint)
+        split = split_tail(value)
+        if split is None or not split[1].is_polynomial():
+            raise NormalFormError(f"{value} is not a polynomial plus an "
+                                  "integer multiple of u/(u-1)")
+        return cls(split[1].numerator, split[0])
 
     @classmethod
     def zero(cls) -> "VirtualClass":
@@ -125,29 +114,14 @@ def _series(poly: IntPoly, tail: int) -> RationalU:
                               u_minus_one)
 
 
-def _resolve_hint(poly: IntPoly, tail: int, candidate: int | None) -> int | None:
-    if candidate is not None and _series(poly, tail).degree == candidate:
-        return candidate
-    return None
-
-
-def _combine(a: VirtualClass, b: VirtualClass, sign: int, hint) -> VirtualClass:
-    poly = a.poly_part + sign * b.poly_part
-    tail = a.fixed_tail + sign * b.fixed_tail
-    return VirtualClass(poly, tail, _resolve_hint(poly, tail, hint))
-
-
 def union_disjoint(a: VirtualClass, b: VirtualClass) -> VirtualClass:
-    """Class of a disjoint union: the sum, dimension the larger of the two."""
-    hint = None
-    if a.dim_hint is not None and b.dim_hint is not None:
-        hint = max(a.dim_hint, b.dim_hint)
-    return _combine(a, b, 1, hint)
+    """Class of a disjoint union: the sum."""
+    return VirtualClass(a.poly_part + b.poly_part, a.fixed_tail + b.fixed_tail)
 
 
 def difference(a: VirtualClass, b: VirtualClass) -> VirtualClass:
-    """Class of a complement: the difference, keeping the ambient dimension."""
-    return _combine(a, b, -1, a.dim_hint)
+    """Class of a complement: the difference."""
+    return VirtualClass(a.poly_part - b.poly_part, a.fixed_tail - b.fixed_tail)
 
 
 def affine_product(a: VirtualClass, d: int) -> VirtualClass:
@@ -161,9 +135,7 @@ def affine_product(a: VirtualClass, d: int) -> VirtualClass:
     if d == 0:
         return a
     poly = a.poly_part.shift(d) + a.fixed_tail * IntPoly.geometric_sum(1, d)
-    hint = a.dim_hint + d if a.dim_hint is not None else None
-    return VirtualClass(poly, a.fixed_tail,
-                        _resolve_hint(poly, a.fixed_tail, hint))
+    return VirtualClass(poly, a.fixed_tail)
 
 
 def trivial_lift(beta_poly: IntPoly, allow_negative: bool = False) -> VirtualClass:
@@ -177,15 +149,13 @@ def trivial_lift(beta_poly: IntPoly, allow_negative: bool = False) -> VirtualCla
         raise NegativeCoefficient(
             f"{beta_poly} has a negative coefficient; pass allow_negative=True "
             "if it really is the virtual polynomial of a non-compact set")
-    tail = int(beta_poly.evaluate(1))
-    degree = None if beta_poly.is_zero() else int(beta_poly.degree)
     # P = u * (beta - beta(1)) / (u - 1): its u^k coefficient is the sum of
     # the coefficients of u^k, u^(k+1), ... in beta
     poly, running = {}, 0
-    for k in range(degree or 0, 0, -1):
+    for k in range(0 if beta_poly.is_zero() else beta_poly.degree, 0, -1):
         running += beta_poly[k]
         poly[k] = running
-    return VirtualClass(IntPoly(poly), tail, dim_hint=degree)
+    return VirtualClass(IntPoly(poly), int(beta_poly.evaluate(1)))
 
 
 def free_quotient(a: VirtualClass, asserted_free: bool) -> IntPoly:
@@ -208,13 +178,6 @@ def blowup_class(x: VirtualClass, c: VirtualClass, e: VirtualClass) -> VirtualCl
     return union_disjoint(difference(x, c), e)
 
 
-def check_degree(a: VirtualClass) -> bool:
-    """True when the degree of the series equals the claimed dimension."""
-    if a.dim_hint is None:
-        raise MissingDimHint("class carries no dimension hint")
-    return a.value.degree == a.dim_hint
-
-
 # ---------------------------------------------------------------------------
 # atoms: building blocks with known series
 
@@ -222,7 +185,8 @@ class Atom(NamedTuple):
     """A building block whose series is known in closed form.
 
     ``kind`` is one of point_trivial, swapped_pair, sphere, affine, custom;
-    the remaining fields are only populated where they apply.
+    the remaining fields are only populated where they apply.  A custom
+    atom's ``dim`` is kept as given and never read: its class is its value.
     """
 
     kind: str
@@ -266,22 +230,21 @@ def atom_class(atom: Atom) -> VirtualClass:
     affine d-space -> u^(d+1)/(u-1); custom -> the given value.
     """
     if atom.kind == "point_trivial":
-        return VirtualClass(IntPoly.zero(), 1, dim_hint=0)
+        return VirtualClass(IntPoly.zero(), 1)
     if atom.kind == "swapped_pair":
-        return VirtualClass(IntPoly.one(), 0, dim_hint=0)
+        return VirtualClass(IntPoly.one(), 0)
     if atom.kind == "sphere":
         d = atom.dim
         if atom.action == ACTION_FREE:
-            return VirtualClass(IntPoly({0: 1, d: 1}), 0, dim_hint=d)
+            return VirtualClass(IntPoly({0: 1, d: 1}), 0)
         # with a fixed point the groups do not depend on the action, and the
         # trivial action produces the same series
-        return VirtualClass(IntPoly.geometric_sum(1, d), 2, dim_hint=d)
+        return VirtualClass(IntPoly.geometric_sum(1, d), 2)
     if atom.kind == "affine":
-        return VirtualClass(IntPoly.geometric_sum(1, atom.dim), 1,
-                            dim_hint=atom.dim)
+        return VirtualClass(IntPoly.geometric_sum(1, atom.dim), 1)
     if atom.kind == "custom":
         with suppress(NormalFormError):
-            cls = VirtualClass.from_value(atom.value, atom.dim)
+            cls = VirtualClass.from_value(atom.value)
             if cls.fixed_tail == atom.fixed_poly.evaluate(1):
                 return cls
         raise InvalidAtom(f"custom value {atom.value} is not in normal form "

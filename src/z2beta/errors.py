@@ -63,10 +63,6 @@ class AssertionMissing(ToolkitError):
     """A caller-side geometric assertion (freeness, fixed set) was not given."""
 
 
-class MissingDimHint(ToolkitError):
-    """Degree check requested on a class without a dimension hint."""
-
-
 # ---------------------------------------------------------------------------
 # zeta engine
 

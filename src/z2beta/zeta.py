@@ -32,7 +32,7 @@ from math import gcd, lcm
 from pathlib import Path
 from typing import NamedTuple
 
-from .algebra import U_MINUS_ONE, IntPoly, RationalU
+from .algebra import MAX_COEFFICIENT_DIGITS, U_MINUS_ONE, IntPoly, RationalU
 from .calculus import VirtualClass
 from .errors import BadGcd, MalformedInput, UnknownDivisor
 
@@ -70,6 +70,14 @@ class ResolutionData(NamedTuple):
     strata: tuple
 
 
+def _check_digits(value: int, field: str) -> None:
+    # JSON integers get the digit bound of polynomial text, so no merged or
+    # printed value reaches Python's 4300-digit limit on integer strings
+    if abs(value) >= 10 ** MAX_COEFFICIENT_DIGITS:
+        raise MalformedInput(
+            f"{field} longer than {MAX_COEFFICIENT_DIGITS} digits")
+
+
 def _parse_virtual_class(data, where: str) -> VirtualClass:
     if not isinstance(data, dict) or "poly" not in data or "tail" not in data:
         raise MalformedInput(f"{where}: expected an object with poly and tail")
@@ -80,6 +88,7 @@ def _parse_virtual_class(data, where: str) -> VirtualClass:
     tail = data["tail"]
     if type(tail) is not int:
         raise MalformedInput(f"{where}: tail must be an integer")
+    _check_digits(tail, f"{where}: tail")
     return VirtualClass(poly, tail)
 
 
@@ -102,6 +111,7 @@ def load_resolution(source) -> ResolutionData:
     ambient = data.get("ambient_dim")
     if type(ambient) is not int or ambient < 1:
         raise MalformedInput("ambient_dim must be a positive integer")
+    _check_digits(ambient, "ambient_dim")
 
     divisor_entries = data.get("divisors", [])
     stratum_entries = data.get("strata", [])
@@ -120,6 +130,8 @@ def load_resolution(source) -> ResolutionData:
             raise MalformedInput(f"divisor {div.id!r}: N and nu must be integers")
         if div.N < 1 or div.nu < 1:
             raise MalformedInput(f"divisor {div.id!r}: N and nu must be >= 1")
+        _check_digits(div.N, f"divisor {div.id!r}: N")
+        _check_digits(div.nu, f"divisor {div.id!r}: nu")
         if div.id in by_id:
             raise MalformedInput(f"duplicate divisor id {div.id!r}")
         by_id[div.id] = div
@@ -146,6 +158,7 @@ def load_resolution(source) -> ResolutionData:
         if "m" in entry:
             if type(entry["m"]) is not int:
                 raise MalformedInput(f"stratum {sorted(ids)}: m must be an integer")
+            _check_digits(entry["m"], f"stratum {sorted(ids)}: m")
             if entry["m"] != true_m:
                 raise BadGcd(f"stratum {sorted(ids)}: stored m = {entry['m']} "
                              f"but gcd of multiplicities is {true_m}")

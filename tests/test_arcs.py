@@ -19,7 +19,6 @@ from z2beta.arcs import (
     oracle_zeta_naive,
     symbolic_constraint_check,
 )
-from z2beta.calculus import check_degree
 from z2beta.zeta import dl_zeta_naive, expand_zeta, monomial_resolution
 
 U = IntPoly.u()
@@ -62,8 +61,7 @@ def test_dimension_law():
                 cls = arc_class(g, n, sign)
                 if cls.is_zero():
                     continue
-                assert cls.dim_hint == n - n // exponent
-                assert check_degree(cls)
+                assert cls.value.degree == n - n // exponent
 
 
 def test_germ_validation():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import z2beta.calculus as calculus
-from z2beta.algebra import IntPoly, RationalU
+from z2beta.algebra import IntPoly, RationalU, laurent_expand, split_tail
 from z2beta.calculus import (
     ACTION_FIXED,
     ACTION_FREE,
@@ -20,7 +20,6 @@ from z2beta.calculus import (
     affine_product,
     atom_class,
     blowup_class,
-    check_degree,
     curve_example,
     difference,
     free_quotient,
@@ -30,7 +29,6 @@ from z2beta.calculus import (
 from z2beta.errors import (
     AssertionMissing,
     InvalidAtom,
-    MissingDimHint,
     NegativeCoefficient,
     NormalFormError,
     NotFree,
@@ -62,7 +60,7 @@ def test_sphere_classes(d):
 def test_affine_classes(d):
     cls = atom_class(Atom.affine(d))
     assert cls.fixed_tail == 1
-    assert check_degree(cls)
+    assert cls.value.degree == d
 
 
 def test_atom_validation():
@@ -85,7 +83,7 @@ def test_custom_atom():
     cls = atom_class(Atom.custom(RationalU(U ** 3, U - 1), 2, IntPoly.one()))
     assert cls.fixed_tail == 1
     assert cls.poly_part == geometric(1, 2)
-    assert cls.dim_hint == 2
+    assert cls.value.degree == 2
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +106,6 @@ def test_two_swapped_arcs():
                      atom_class(Atom.pair()))
     assert got.value == RationalU(U)
     assert got.fixed_tail == 0
-
-
-def test_dim_hint_policy():
-    a = atom_class(Atom.sphere(2, ACTION_FREE))
-    b = atom_class(Atom.pair())
-    assert union_disjoint(a, b).dim_hint == 2
-    assert difference(a, b).dim_hint == 2
-    # full cancellation drops the hint
-    assert difference(a, a).dim_hint is None
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +201,6 @@ def test_negative_tail():
     assert atom_class(Atom.point()).fixed_tail == 1
 
 
-def test_check_degree():
-    assert check_degree(atom_class(Atom.affine(3)))
-    assert check_degree(atom_class(Atom.sphere(2, ACTION_FREE)))
-    zero = atom_class(Atom.custom(RationalU.zero(), 1, IntPoly.zero()))
-    assert not check_degree(zero)
-    with pytest.raises(MissingDimHint):
-        check_degree(VirtualClass(IntPoly.one(), 0))
-
-
 def test_normal_form_enforced():
     with pytest.raises(NormalFormError):
         VirtualClass.from_value(RationalU(1, U + 1))
@@ -278,20 +258,48 @@ def test_from_value_decomposition():
     assert cls.fixed_tail == 3
 
 
+def test_tail_split_from_both_callers():
+    # from_value and laurent_expand read the fixed tail through one split:
+    # the normal form comes back, the constant tail is claimed exactly from
+    # the exponent min(1, val P) down (1 for P = 0), and a double pole at
+    # u = 1 has no tail for either caller
+    rng = random.Random(20)
+    for _ in range(200):
+        low = rng.randint(0, 3)
+        poly = IntPoly({e: rng.choice([1, -1, 2, -5, 7])
+                        for e in range(low, low + rng.randint(0, 4))})
+        tail = rng.choice([0, rng.randint(-9, -1), rng.randint(1, 9)])
+        cls = VirtualClass(poly, tail)
+        value = cls.value
+        assert VirtualClass.from_value(value) == cls
+        limit = 1 if poly.is_zero() else min(1, poly.valuation)
+        top = laurent_expand(value, 1).top_degree
+        for depth in range(1, top - limit + 4):
+            reaches = top - depth + 1 <= limit
+            assert laurent_expand(value, depth).eventually_constant \
+                == (tail if reaches else None), (poly, tail, depth)
+        double = value + RationalU(rng.choice([1, -1, 3]), (U - 1) ** 2)
+        assert split_tail(double) is None
+        with pytest.raises(NormalFormError):
+            VirtualClass.from_value(double)
+        assert laurent_expand(double, top - limit + 4).eventually_constant \
+            is None
+
+
 # ---------------------------------------------------------------------------
 # the class record
 
 def test_virtual_class_record(monkeypatch):
-    a = VirtualClass(U ** 2 - 3, 2, dim_hint=2)
+    a = VirtualClass(U ** 2 - 3, 2)
     b = VirtualClass(U ** 2 - 3, 2)
-    assert a == b and hash(a) == hash(b)  # the hint is advisory
+    assert a == b and hash(a) == hash(b)
     assert a != VirtualClass(U ** 2 - 3, 1)
     assert repr(a) == ("VirtualClass(poly_part=IntPoly.parse('u^2 - 3'), "
-                       "fixed_tail=2, dim_hint=2)")
+                       "fixed_tail=2)")
     constant = VirtualClass(4, 0)
     assert isinstance(constant.poly_part, IntPoly)
     assert constant == VirtualClass(IntPoly({0: 4}), 0)
-    for name in ("poly_part", "fixed_tail", "dim_hint", "value", "extra"):
+    for name in ("poly_part", "fixed_tail", "value", "extra"):
         with pytest.raises(AttributeError):
             setattr(a, name, 0)
     calls = []

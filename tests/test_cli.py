@@ -340,6 +340,16 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     (["eval", "custom(1/(u^2 - 2u + 1), 1, 1)"], None),
     (["homology", "{file}"], {"ambient_dim": 1, "divisors": [],
                               "strata": []}),
+    (["zeta", "{file}", "--sign", "+"], {
+        "ambient_dim": 2,
+        "divisors": [{"id": "E1", "N": 2, "nu": 2},
+                     {"id": "E2", "N": 2, "nu": 2}],
+        "strata": [{"I": [i], "cov_plus": {"poly": "0", "tail": int("9" * 4300)}}
+                   for i in ("E1", "E2")]}),
+    (["zeta", "{file}", "--expand", "2"], {
+        "ambient_dim": 1,
+        "divisors": [{"id": "E1", "N": 1, "nu": int("9" * 4300)}],
+        "strata": [{"I": ["E1"], "cov_plus": {"poly": "1", "tail": 0}}]}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -358,7 +368,8 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         "cell-id-repeated", "fixed-is-geometric-string",
         "boundary-not-list", "affprod-negative-dimension",
         "custom-double-pole",
-        "complex-without-cells"])
+        "complex-without-cells", "resolution-tail-digits-above-max",
+        "resolution-nu-digits-above-max"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

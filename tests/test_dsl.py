@@ -38,7 +38,7 @@ def test_custom_literal():
     tree = parse_expression("custom(u^3/(u - 1), 2, 1)")
     value = evaluate(tree)
     assert value.value == RationalU(U ** 3, U - 1)
-    assert value.dim_hint == 2
+    assert value.value.degree == 2
 
 
 def test_curve_keywords():
