@@ -28,14 +28,18 @@ blocks C_0 .. C_top, so the differentials in and out are the same matrices:
 H_{-1} is the whole negative tail, exactly, with no stabilisation window.
 
 A GCWComplex is immutable and its constructor runs ``validate_complex``,
-so each complex is validated once.  Its total differential is built on its
-first homology query.  Every rank a query needs is the rank of a suffix of
-the columns (homology), of a prefix of the rows (cohomology) or of one
-boundary block (plain homology), so each family is taken once per complex,
-by one Gaussian elimination over F2 with Python integers as bit columns,
-and each degree reads two of its ranks.  The check that the total
-differential squares to zero is computed once too, and still raised by
-every equivariant homology query it concerns.
+so each complex is validated once.  The invariants it checks are also what
+makes the total differential D = boundary + (1 + sigma) square to zero:
+
+    D^2 = boundary^2 + (boundary sigma + sigma boundary) + (1 + sigma)^2 = 0
+
+over F2, since boundary^2 = 0, sigma commutes with the boundary and
+sigma^2 = 1.  The total differential is built on the first homology query.
+Every rank a query needs is the rank of a suffix of the columns (homology),
+of a prefix of the rows (cohomology) or of one boundary block (plain
+homology), so each family is taken once per complex, by one Gaussian
+elimination over F2 with Python integers as bit columns, and each degree
+reads two of its ranks.
 """
 
 from __future__ import annotations
@@ -62,10 +66,11 @@ from .errors import (
 MAX_DIMENSION = 1024
 
 #: Largest cell count: on a 2-CPU VM ``equivariant_betti_series`` takes
-#: about 0.007 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
-#: faces each, and 0.014 s on the denser antipodal S^7 times the fixed S^7
-#: and S^3 (two cells per dimension), 2048 cells with 5 faces each (0.06 s
-#: on the sparse tower at 8192 cells, 0.08 s on a dense one at 5832).
+#: about 0.004 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
+#: faces each, and 0.006 s on the denser antipodal S^7 times the fixed S^7
+#: and S^3 (two cells per dimension), 2048 cells with 5 faces each (0.02 s
+#: on the sparse tower at 8192 cells and on a dense one at 5832, 0.03 s on
+#: a dense one at 8192).
 MAX_CELLS = 2048
 
 
@@ -244,19 +249,6 @@ def gf2_rank(columns) -> list:
     return ranks
 
 
-def _apply(columns, vector: int, start: int) -> int:
-    """The image of ``vector`` under ``columns[start:]``; bit i of
-    ``vector`` (i >= start) selects column i.  Only the set bits are
-    walked, lowest first, so the cost is one XOR per nonzero entry."""
-    out = 0
-    vector >>= start
-    while vector:
-        low = vector & -vector
-        out ^= columns[start + low.bit_length() - 1]
-        vector ^= low
-    return out
-
-
 class _ChainData:
     """The total differential of one complex as one matrix, and the ranks
     that the homology queries read.
@@ -264,8 +256,8 @@ class _ChainData:
     Cells are sorted by (dimension, id) and column i, over rows in the same
     order, is boundary(cell i) + (1 + sigma)(cell i).  ``start[q]`` is the
     position of the first cell of dimension q, and ``start[top + 1]`` the
-    cell count.  Each family of ranks, and the square-to-zero defects, is
-    computed from the columns on the first query that reads it."""
+    cell count.  Each family of ranks is computed from the columns on the
+    first query that reads it."""
 
     def __init__(self, x: GCWComplex):
         order = sorted(x.cells, key=lambda c: (x.cells[c], c))
@@ -316,39 +308,10 @@ class _ChainData:
         ranks = gf2_rank(masked)
         return [ranks[e] - ranks[s] for s, e in pairwise(self.start)] + [0]
 
-    @cached_property
-    def _square_defects(self) -> tuple:
-        """The last column i with D(D e_i) != 0 among the columns with no
-        bit below the block under their own, and the list of the columns
-        that do reach lower (empty for a valid complex)."""
-        last, reaching = -1, []
-        for q, (s, e) in enumerate(pairwise(self.start)):
-            below = (1 << self.start[max(q - 1, 0)]) - 1
-            for i in range(s, e):
-                if self.columns[i] & below:
-                    reaching.append(i)
-                elif _apply(self.columns, self.columns[i], 0):
-                    last = i
-        return last, reaching
-
-    def squares_to_zero(self, n: int) -> bool:
-        """Whether D(D e_i), with D restricted to the columns of degree n,
-        is zero for every column i of degree n + 1.  A column of block q
-        without bits below block q - 1 only selects columns from block q - 1
-        on, all of degree n, so its square needs no restriction."""
-        lo, hi = self.start[self.block(n)], self.start[self.block(n + 1)]
-        last, reaching = self._square_defects
-        return last < hi and not any(
-            _apply(self.columns, self.columns[i], lo)
-            for i in reaching if i >= hi)
-
 
 def equivariant_homology(x: GCWComplex, n: int) -> int:
     """dim over F2 of the n-th equivariant Borel-Moore homology group."""
     data = x._chain_data()
-    if not data.squares_to_zero(n):
-        raise InvalidComplex(
-            f"total differential fails to square to zero in degree {n + 1}")
     lo, hi = data.block(n), data.block(n + 1)
     ranks = data.suffix_ranks
     return len(data.columns) - data.start[lo] - ranks[lo] - ranks[hi]

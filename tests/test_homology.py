@@ -1,7 +1,6 @@
 """Equivariant homology of the curated complexes against the known tables."""
 
 import json
-import random
 
 import pytest
 
@@ -150,44 +149,6 @@ def test_validated_and_indexed_once_per_complex(monkeypatch):
     assert calls == [cw] and built == [cw]
 
 
-def test_square_to_zero_checked_on_every_query(monkeypatch):
-    class Flipped(homology._ChainData):
-        def __init__(self, x):
-            super().__init__(x)
-            self.columns[0] ^= 1  # d(v) = v, so d(d(v)) = v
-
-    monkeypatch.setattr(homology, "_ChainData", Flipped)
-    point = point_complex()
-    for n in (-1, -3):
-        with pytest.raises(InvalidComplex, match=f"degree {n + 1}$"):
-            equivariant_homology(point, n)
-
-
-def _apply_per_bit(columns, vector, start):
-    """Reference for ``_apply``: one loop step per bit position."""
-    out = 0
-    vector >>= start
-    j = start
-    while vector:
-        if vector & 1:
-            out ^= columns[j]
-        vector >>= 1
-        j += 1
-    return out
-
-
-def test_apply_matches_per_bit_walk():
-    rng = random.Random(0)
-    for size in (0, 1, 2, 5, 64, 300):
-        columns = [rng.getrandbits(size) for _ in range(size)]
-        vectors = [0, (1 << size) - 1] + [rng.getrandbits(size)
-                                          for _ in range(4)]
-        for start in range(size + 1):  # every vector has bits below start
-            for v in vectors:
-                assert homology._apply(columns, v, start) \
-                    == _apply_per_bit(columns, v, start)
-
-
 def test_negative_tail_ranked_once(monkeypatch):
     # every equivariant homology degree reads the ranks of one elimination
     calls = []
@@ -205,60 +166,6 @@ def test_negative_tail_ranked_once(monkeypatch):
     for n in range(-3, 5):
         equivariant_homology(cw, n)
     assert calls == [len(cw.cells)]
-
-
-def _square_fails_per_query(data, n):
-    """Reference for the square-to-zero check: every column of degree
-    n + 1 through the columns of degree n, one ``_apply`` each."""
-    cols = data.columns
-    last = len(data.start) - 1
-    lo = data.start[min(max(n, 0), last)]
-    hi = data.start[min(max(n + 1, 0), last)]
-    return any(homology._apply(cols, col, lo) for col in cols[hi:])
-
-
-def test_square_check_matches_per_query_reference(monkeypatch):
-    flips = []
-
-    class Tampered(homology._ChainData):
-        def __init__(self, x):
-            super().__init__(x)
-            for i, bit in flips:
-                self.columns[i] ^= 1 << bit
-
-    untampered = homology._ChainData
-    monkeypatch.setattr(homology, "_ChainData", Tampered)
-    rng = random.Random(0)
-    outcomes = set()
-    antipodal = sphere_complex(5, "antipodal")
-    for trial in range(90):
-        if trial % 3 == 0:
-            cw = product_with_trivial(sphere_complex(3, "antipodal"),
-                                      sphere_complex(2, "trivial"))
-        else:  # S^5, antipodal or with every cell fixed
-            cw = GCWComplex(dict(antipodal.cells), antipodal.boundary,
-                            antipodal.sigma if trial % 3 == 1 else None)
-        start = untampered(cw).start
-        flips.clear()
-        if trial % 2:
-            # a top-block column gains a bit two blocks down; when no other
-            # column hits it, only the degrees that reach that bit fail
-            top = len(start) - 2
-            flips.append((rng.randrange(start[top], start[top + 1]),
-                          rng.randrange(start[top - 2], start[top - 1])))
-        flips += [(rng.randrange(start[-1]), rng.randrange(start[-1]))
-                  for _ in range(rng.randrange(3))]
-        data = cw._chain_data()
-        for n in range(-3, cw.top_dimension + 3):
-            fails = _square_fails_per_query(data, n)
-            outcomes.add(fails)
-            if fails:
-                with pytest.raises(InvalidComplex,
-                                   match=f"square to zero in degree {n + 1}$"):
-                    equivariant_homology(cw, n)
-            else:
-                equivariant_homology(cw, n)
-    assert outcomes == {False, True}
 
 
 def test_complex_is_immutable():

@@ -18,11 +18,13 @@ free draws come from the antipodal bases.
 
 The same draws, the bases themselves and two larger complexes also check
 the ranks each complex computes once against one elimination per query
-over the slices of the total differential that the degree uses.
+over the slices of the total differential that the degree uses, and that
+the total differential squares to zero.
 """
 
 import pytest
 
+from conftest import assert_squares_to_zero
 from z2beta.complexes import sphere_complex
 from z2beta.homology import (
     GCWComplex,
@@ -143,6 +145,7 @@ def per_query_dims(x: GCWComplex, n: int) -> tuple:
 
 
 def assert_dims_match_per_query(x: GCWComplex):
+    assert_squares_to_zero(x)
     for n in range(-3, x.top_dimension + 3):
         assert (equivariant_homology(x, n), plain_homology(x, n),
                 equivariant_cohomology(x, n)) == per_query_dims(x, n), n

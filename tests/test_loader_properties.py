@@ -1,13 +1,15 @@
 """The two JSON loaders against arbitrary JSON-shaped values, with hypothesis.
 
 ``GCWComplex.from_dict`` and ``load_resolution`` read data from files, so on
-any JSON value they must return a value or raise a ToolkitError.  The
+any JSON value they must return a value or raise a ToolkitError; every
+complex that loads has a total differential that squares to zero.  The
 values have the shape of the file format with one part, or the whole value,
 replaced by any JSON value, so that they reach past the first type check.
 """
 
 import pytest
 
+from conftest import assert_squares_to_zero
 from z2beta.errors import ToolkitError
 from z2beta.homology import GCWComplex
 from z2beta.zeta import load_resolution
@@ -90,15 +92,17 @@ resolutions = st.fixed_dictionaries(
 
 def _value_or_toolkit_error(load, data):
     try:
-        load(data)
+        return load(data)
     except ToolkitError:
-        pass
+        return None
 
 
 @SETTINGS
 @hypothesis.given(corrupted(complexes))
 def test_complex_loader_total(data):
-    _value_or_toolkit_error(GCWComplex.from_dict, data)
+    x = _value_or_toolkit_error(GCWComplex.from_dict, data)
+    if x is not None:
+        assert_squares_to_zero(x)
 
 
 @SETTINGS
