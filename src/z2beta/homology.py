@@ -11,17 +11,19 @@ dimensional and no truncation is ever needed; both differential components
 lower n by one.
 
 Every copy of C_q carries the same two maps, so one matrix holds the whole
-total differential: one column per cell, the cells sorted by dimension,
+total differential: one column per cell, the cells grouped by dimension,
 column c = boundary(c) + (1 + sigma)(c).  Each differential is a slice of
-it.  Degree-n homology uses the columns of the blocks q >= max(0, n) for
-the map out and those of q >= max(0, n + 1) for the map in, with all their
-rows.  Because only compact complexes are accepted, Borel-Moore homology
-agrees with ordinary homology, and equivariant cohomology in degree n is
-built on the blocks C^q with q <= n: its coboundary is the transpose of the
-columns of the blocks q <= n + 1 with the rows of the blocks q > n masked
-off (sigma is an involution, so the 1 + sigma block is symmetric), and over
-F2 a matrix and its transpose have the same rank.  Plain homology masks the
-boundary of block n to the rows of block n - 1, dropping 1 + sigma.
+it, and every slice is a run of whole blocks, so the order of the cells
+inside a block changes no rank.  Degree-n homology uses the columns of
+the blocks q >= max(0, n) for the map out and those of q >= max(0, n + 1)
+for the map in, with all their rows.  Because only compact complexes are
+accepted, Borel-Moore homology agrees with ordinary homology, and
+equivariant cohomology in degree n is built on the blocks C^q with
+q <= n: its coboundary is the transpose of the columns of the blocks
+q <= n + 1 with the rows of the blocks q > n masked off (sigma is an
+involution, so the 1 + sigma block is symmetric), and over F2 a matrix
+and its transpose have the same rank.  Plain homology masks the boundary
+of block n to the rows of block n - 1, dropping 1 + sigma.
 
 For every n <= -1 the degree-n piece and the pieces next to it are all the
 blocks C_0 .. C_top, so the differentials in and out are the same matrices:
@@ -39,7 +41,9 @@ Every rank a query needs is the rank of a suffix of the columns (homology),
 of a prefix of the rows (cohomology) or of one boundary block (plain
 homology), so each family is taken once per complex, by one Gaussian
 elimination over F2 with Python integers as bit columns, and each degree
-reads two of its ranks.
+reads two of its ranks.  The rows are built from the faces, not by
+transposing the columns: row c holds c, sigma(c) and every cell whose
+boundary holds c.
 """
 
 from __future__ import annotations
@@ -66,11 +70,12 @@ from .errors import (
 MAX_DIMENSION = 1024
 
 #: Largest cell count: on a 2-CPU VM ``equivariant_betti_series`` takes
-#: about 0.004 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
-#: faces each, and 0.006 s on the denser antipodal S^7 times the fixed S^7
-#: and S^3 (two cells per dimension), 2048 cells with 5 faces each (0.02 s
-#: on the sparse tower at 8192 cells and on a dense one at 5832, 0.03 s on
-#: a dense one at 8192).
+#: about 0.0013 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
+#: faces each, and 0.0024 s on the denser antipodal S^7 times the fixed S^7
+#: and S^3 (two cells per dimension), 2048 cells with 5 faces each.  With
+#: the bound raised, it takes 0.006 s on the sparse tower at 8192 cells,
+#: 0.009 s on a dense product at 5832 and 0.013 s on one at 8192, whose
+#: cohomology and plain homology ranks take 0.03 s more.
 MAX_CELLS = 2048
 
 
@@ -253,25 +258,36 @@ class _ChainData:
     """The total differential of one complex as one matrix, and the ranks
     that the homology queries read.
 
-    Cells are sorted by (dimension, id) and column i, over rows in the same
-    order, is boundary(cell i) + (1 + sigma)(cell i).  ``start[q]`` is the
-    position of the first cell of dimension q, and ``start[top + 1]`` the
-    cell count.  Each family of ranks is computed from the columns on the
-    first query that reads it."""
+    Cells are grouped by dimension, in the complex's own order inside each
+    block, and column i, over rows in the same order, is boundary(cell i) +
+    (1 + sigma)(cell i).  ``start[q]`` is the position of the first cell of
+    dimension q, and ``start[top + 1]`` the cell count.  Every rank read is
+    that of a whole block or run of blocks, so the order inside a block
+    changes none.  The columns are built here, from one bit per cell, and
+    each family of ranks on the first query that reads it, the rows from
+    the faces.  Only the cell order and the complex's read-only maps are
+    kept, never the complex: it holds this object, and a reference back
+    would be a cycle that only the garbage collector frees."""
 
     def __init__(self, x: GCWComplex):
-        order = sorted(x.cells, key=lambda c: (x.cells[c], c))
-        index = {c: i for i, c in enumerate(order)}
+        cells, sigma, boundary = x.cells, x.sigma, x.boundary
+        self._order = sorted(cells, key=cells.__getitem__)
+        self._sigma, self._boundary = sigma, boundary
         counts = [0] * (x.top_dimension + 2)
-        for d in x.cells.values():
+        for d in cells.values():
             counts[d + 1] += 1
         self.start = list(accumulate(counts))
+        bit = self._bits()
         self.columns = []
-        for i, cell in enumerate(order):
-            col = (1 << i) ^ (1 << index[x.sigma[cell]])
-            for f in x.boundary.get(cell, ()):
-                col ^= 1 << index[f]
+        for cell in self._order:
+            col = bit[cell] ^ bit[sigma[cell]]
+            for f in boundary.get(cell, ()):
+                col ^= bit[f]
             self.columns.append(col)
+
+    def _bits(self) -> dict:
+        """Cell -> its bit, ``1 << position``."""
+        return {c: 1 << i for i, c in enumerate(self._order)}
 
     def block(self, q: int) -> int:
         """The block that degree ``q`` starts at: q clamped to 0 .. top + 1."""
@@ -288,14 +304,15 @@ class _ChainData:
         """The rank of the rows before ``start[q]`` for every block q.  No
         column after block q has an entry in those rows, so this is the
         rank of ``columns[:start[q + 1]]`` with the rows from ``start[q]``
-        on masked off."""
-        rows = [0] * len(self.columns)
-        for j, col in enumerate(self.columns):
-            while col:
-                low = col & -col
-                rows[low.bit_length() - 1] |= 1 << j
-                col ^= low
-        ranks = gf2_rank(rows)
+        on masked off.  Row r holds r, sigma(r) and every cell whose
+        boundary holds r."""
+        bit, sigma = self._bits(), self._sigma
+        rows = {c: b ^ bit[sigma[c]] for c, b in bit.items()}
+        for cell, faces in self._boundary.items():
+            b = bit[cell]
+            for f in faces:
+                rows[f] ^= b
+        ranks = gf2_rank(rows.values())
         return [ranks[s] for s in self.start]
 
     @cached_property
@@ -303,8 +320,9 @@ class _ChainData:
         """The rank of the boundary of every block q: its columns with the
         rows from ``start[q]`` on masked off (0 for the empty block top +
         1).  The blocks hit disjoint rows, so one elimination ranks all."""
-        masked = [self.columns[i] & ((1 << s) - 1)
-                  for s, e in pairwise(self.start) for i in range(s, e)]
+        masked = []
+        for s, e in pairwise(self.start):
+            masked += map(((1 << s) - 1).__and__, self.columns[s:e])
         ranks = gf2_rank(masked)
         return [ranks[e] - ranks[s] for s, e in pairwise(self.start)] + [0]
 

@@ -146,6 +146,9 @@ def load_resolution(source) -> ResolutionData:
         ids = frozenset(str(i) for i in entry["I"])
         if not ids:
             raise MalformedInput("stratum with empty divisor set")
+        if len(ids) < len(entry["I"]):  # a set would merge the repeats
+            raise MalformedInput(
+                f"stratum {entry['I']!r} repeats a divisor id")
         for i in ids:
             if i not in by_id:
                 raise UnknownDivisor(f"stratum references unknown divisor {i!r}")

@@ -350,6 +350,10 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         "ambient_dim": 1,
         "divisors": [{"id": "E1", "N": 1, "nu": int("9" * 4300)}],
         "strata": [{"I": ["E1"], "cov_plus": {"poly": "1", "tail": 0}}]}),
+    (["zeta", "{file}"], {
+        "ambient_dim": 1,
+        "divisors": [{"id": "E1", "N": 2, "nu": 1}],
+        "strata": [{"I": ["E1", "E1"], "base": "1"}]}),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -369,7 +373,7 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         "boundary-not-list", "affprod-negative-dimension",
         "custom-double-pole",
         "complex-without-cells", "resolution-tail-digits-above-max",
-        "resolution-nu-digits-above-max"])
+        "resolution-nu-digits-above-max", "stratum-divisor-repeated"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

@@ -1,5 +1,6 @@
 """Equivariant homology of the curated complexes against the known tables."""
 
+import gc
 import json
 
 import pytest
@@ -166,6 +167,22 @@ def test_negative_tail_ranked_once(monkeypatch):
     for n in range(-3, 5):
         equivariant_homology(cw, n)
     assert calls == [len(cw.cells)]
+
+
+def test_chain_data_leaves_no_cycle():
+    # the chain data keeps the complex's maps, never the complex that holds
+    # it, so the complex and its ranks are freed by reference counting
+    gc.collect()
+    gc.disable()
+    try:
+        cw = product_with_trivial(sphere_complex(3, "antipodal"),
+                                  sphere_complex(1, "trivial"))
+        data = cw._chain_data()
+        data.suffix_ranks, data.row_ranks, data.boundary_ranks
+        del cw, data
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_complex_is_immutable():

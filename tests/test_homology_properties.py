@@ -18,9 +18,12 @@ free draws come from the antipodal bases.
 
 The same draws, the bases themselves and two larger complexes also check
 the ranks each complex computes once against one elimination per query
-over the slices of the total differential that the degree uses, and that
-the total differential squares to zero.
+over the slices of the total differential that the degree uses, and
+against the previous chain-data builder, and that the total differential
+squares to zero.
 """
+
+from itertools import accumulate, pairwise
 
 import pytest
 
@@ -144,8 +147,43 @@ def per_query_dims(x: GCWComplex, n: int) -> tuple:
             mid - _masked_rank(cols[:end], mid) - _masked_rank(cols[:mid], lo))
 
 
+def reference_ranks(x: GCWComplex) -> tuple:
+    """Reference: the suffix, row and boundary-block ranks of the previous
+    builder, with the cells sorted by (dimension, id), each face shifted to
+    its bit, the rows peeled bit by bit from the columns and every boundary
+    column masked on its own."""
+    order = sorted(x.cells, key=lambda c: (x.cells[c], c))
+    index = {c: i for i, c in enumerate(order)}
+    counts = [0] * (x.top_dimension + 2)
+    for d in x.cells.values():
+        counts[d + 1] += 1
+    start = list(accumulate(counts))
+    columns = []
+    for i, cell in enumerate(order):
+        col = (1 << i) ^ (1 << index[x.sigma[cell]])
+        for f in x.boundary.get(cell, ()):
+            col ^= 1 << index[f]
+        columns.append(col)
+    suffix = gf2_rank(columns[::-1])
+    rows = [0] * len(columns)
+    for j, col in enumerate(columns):
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << j
+            col ^= low
+    row = gf2_rank(rows)
+    bnd = gf2_rank([columns[i] & ((1 << s) - 1)
+                    for s, e in pairwise(start) for i in range(s, e)])
+    return ([suffix[len(columns) - s] for s in start],
+            [row[s] for s in start],
+            [bnd[e] - bnd[s] for s, e in pairwise(start)] + [0])
+
+
 def assert_dims_match_per_query(x: GCWComplex):
     assert_squares_to_zero(x)
+    data = x._chain_data()
+    assert (data.suffix_ranks, data.row_ranks,
+            data.boundary_ranks) == reference_ranks(x)
     for n in range(-3, x.top_dimension + 3):
         assert (equivariant_homology(x, n), plain_homology(x, n),
                 equivariant_cohomology(x, n)) == per_query_dims(x, n), n

@@ -82,10 +82,20 @@ def test_unknown_divisor_rejected():
      "strata": [{"I": ["E1"], "base": "oops"}]},
     {"ambient_dim": 1, "divisors": [{"id": "E1", "N": 2, "nu": 1}],
      "strata": [{"I": ["E1"], "base": "1"}, {"I": ["E1"], "base": "1"}]},
+    {"ambient_dim": 1, "divisors": [{"id": "E1", "N": 2, "nu": 1}],
+     "strata": [{"I": ["E1", "E1"], "base": "1"}]},
 ])
 def test_malformed_input_rejected(data):
     with pytest.raises(MalformedInput):
         load_resolution(data)
+
+
+def test_repeated_divisor_id_names_the_stratum():
+    with pytest.raises(MalformedInput,
+                       match=r"stratum \[1, '1'\] repeats a divisor id"):
+        load_resolution({"ambient_dim": 1,
+                         "divisors": [{"id": "1", "N": 2, "nu": 1}],
+                         "strata": [{"I": [1, "1"], "base": "1"}]})
 
 
 @pytest.mark.parametrize("data", [
