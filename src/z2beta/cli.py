@@ -14,6 +14,7 @@ benchmark's ``cli_session`` ``peak_rss_mb`` by about 21%.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import arcs, homology, verify, zeta
@@ -95,7 +96,7 @@ def _parse_range(text: str):
     if not sep:
         raise ToolkitError(f"bad range {text!r}, expected NMIN..NMAX")
     try:
-        n_min, n_max = int(low), int(high)
+        n_min, n_max = _ascii_int(low), _ascii_int(high)
     except ValueError as exc:
         raise ToolkitError(f"bad range {text!r}: {exc}") from exc
     if not 0 <= n_max - n_min <= MAX_ORDER:
@@ -135,16 +136,13 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_oracle(args) -> int:
     germ = arcs.MonomialGerm(args.exponent)
-    order = args.order
     if args.compare_dl:
-        report = arcs.compare_with_dl(germ, order)
+        report = arcs.compare_with_dl(germ, args.order)
         for entry in report.entries:
             print(f"T^{entry.n} [{entry.kind}] oracle: {entry.oracle} | "
                   f"formula: {entry.formula} | {entry.status}")
-        if not report.all_consistent:
-            return 2
-        return 0
-    print(_format_t_series(arcs.oracle_zeta(germ, args.sign, order)))
+        return 0 if report.all_consistent else 2
+    print(_format_t_series(arcs.oracle_zeta(germ, args.sign, args.order)))
     return 0
 
 
@@ -170,11 +168,18 @@ def _cmd_verify(args) -> int:
 MAX_ORDER = 1024
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for [+-]?[0-9]+ only, not other digits, "_" or spaces."""
+    if not re.fullmatch("[+-]?[0-9]+", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _int_at_least(low: int):
     """argparse type: an integer from ``low`` to MAX_ORDER."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = _ascii_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {text!r}") from None

@@ -8,12 +8,11 @@ of the two-sheeted covering of the stratum; for the naive one it is
 (u-1)^|I| times the ordinary class of the stratum itself.
 
 One driver, ``expand_zeta``, turns a closed form into T-coefficients, and
-semantic equality reads its windows.  A product of geometric factors has
-integer Laurent polynomials in u as T-coefficients, so the truncated
-T-products run over {T-degree: {u-exponent: int}}; only each term's
-coefficient p/q is a true fraction.  The product starts from the numerator
-p, the integer sums are taken per distinct denominator q, and one RationalU
-is built per (q, T-degree) at the end.
+semantic equality reads its windows.  Only each term's coefficient p/q is a
+true fraction: its series starts from p as {T-degree: {u-exponent: int}},
+each geometric factor (N, nu) is one pass of the recurrence
+out_n = u^-nu (a_(n-N) + out_(n-N)), the integer sums are taken per
+distinct q, and one RationalU is built per (q, T-degree) at the end.
 
 Covering classes are *inputs*: carving them out of charts would need real
 semialgebraic geometry, and the worked examples hand them over directly.
@@ -265,11 +264,10 @@ def default_expansion_order(resolution: ResolutionData) -> int:
 def expand_zeta(form: ZetaClosedForm, order: int) -> list:
     """Coefficients of T^1 .. T^order, exactly.
 
-    Each geometric factor is the series sum over k >= 1 of u^(-nu k) T^(N k),
-    so a term's numerator times its product of factors has integer Laurent
-    polynomials in u as T-coefficients.  ``_t_mul`` convolves those with
-    plain ints, and ``_over_denominators`` builds the RationalU values once,
-    at the end.
+    A term's numerator times its geometric factors has integer Laurent
+    polynomials in u as T-coefficients: ``_geometric`` applies one factor
+    at a time by its recurrence, and ``_over_denominators`` builds the
+    RationalU values once, at the end.
     """
     if order < 1:
         raise ValueError("order must be positive")
@@ -277,27 +275,25 @@ def expand_zeta(form: ZetaClosedForm, order: int) -> list:
     for term in form.terms:
         series = {0: dict(term.coefficient.numerator.coefficients)}
         for N, nu in term.factors:
-            geometric = {N * k: {-nu * k: 1} for k in range(1, order // N + 1)}
-            series = _t_mul(series, geometric, order)
+            series = _geometric(series, N, nu, order)
         pieces.append((term.coefficient.denominator, series))
     total = _over_denominators(pieces)
     return [(n, total[n] if n in total else RationalU.zero())
             for n in range(1, order + 1)]
 
 
-def _t_mul(a: dict, b: dict, order: int) -> dict:
-    """Product of two T-polynomials {T-degree: {u-exponent: int}} whose
-    coefficients are integer Laurent polynomials in u, dropping every
-    T-degree above ``order``."""
+def _geometric(a: dict, N: int, nu: int, order: int) -> dict:
+    """a * u^-nu T^N / (1 - u^-nu T^N) through T^order, for a T-series
+    {T-degree: {u-exponent: int}}.  The product is u^-nu T^N (a + out), so
+    out_n = u^-nu (a_(n-N) + out_(n-N)) from n = N up."""
     out = {}
-    for t1, c1 in a.items():
-        for t2, c2 in b.items():
-            if t1 + t2 > order:
-                continue
-            acc = out.setdefault(t1 + t2, {})
-            for e1, v1 in c1.items():
-                for e2, v2 in c2.items():
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+    for n in range(N, order + 1):
+        acc = {}
+        for part in (a.get(n - N, {}), out.get(n - N, {})):
+            for e, c in part.items():
+                acc[e - nu] = acc.get(e - nu, 0) + c
+        if acc:
+            out[n] = acc
     return out
 
 
@@ -387,8 +383,7 @@ def check_sign_identity(resolution: ResolutionData,
     lhs = dl_zeta_signed(resolution, "+").scaled(U_MINUS_ONE)
     rhs = dl_zeta_naive(resolution)
     structural = lhs == rhs
-    if order is None:
-        order = 4 * max((d.N for d in resolution.divisors), default=1)
+    order = default_expansion_order(resolution) if order is None else order
     first_mismatch = None
     for (n, left), (_, right) in zip(expand_zeta(lhs, order),
                                      expand_zeta(rhs, order)):

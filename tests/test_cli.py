@@ -354,6 +354,9 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         "ambient_dim": 1,
         "divisors": [{"id": "E1", "N": 2, "nu": 1}],
         "strata": [{"I": ["E1", "E1"], "base": "1"}]}),
+    (["oracle", "\u0663", "--order", "4"], None),
+    (["homology", "{file}", "--range=\u0660..\u0662"], POINT),
+    (["oracle", "2", "--order", "1_0"], None),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -373,7 +376,8 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         "boundary-not-list", "affprod-negative-dimension",
         "custom-double-pole",
         "complex-without-cells", "resolution-tail-digits-above-max",
-        "resolution-nu-digits-above-max", "stratum-divisor-repeated"])
+        "resolution-nu-digits-above-max", "stratum-divisor-repeated",
+        "oracle-arabic-digit", "range-arabic-digit", "order-underscore"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

@@ -1,6 +1,7 @@
 """The resolution-data zeta engine against the worked closed forms."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from z2beta.errors import BadGcd, MalformedInput, UnknownDivisor
 from z2beta.zeta import (
     ZetaClosedForm,
     ZetaTerm,
+    _over_denominators,
     check_sign_identity,
     default_expansion_order,
     dl_zeta_naive,
@@ -279,7 +281,8 @@ def geometric_values(form, x, order):
 
 
 #: hand-built forms whose coefficient denominators are 1, u-1, (u-1)^2 and
-#: powers of u, with repeated factors and shared factor sets
+#: powers of u, with repeated factors, shared factor sets and one stratum
+#: through three divisors
 HAND_BUILT = (
     closed((RationalU(U ** 2 - 3), (A,)),
            (RationalU(U, U - 1), (A, A)),
@@ -288,7 +291,8 @@ HAND_BUILT = (
     closed((RationalU(U - 1, U), ((1, 1),)),
            (RationalU(7, U ** 2), ((1, 1), (1, 1))),
            (RationalU(-U ** 3, (U - 1) ** 2), ((1, 2), (5, 4))),
-           (RationalU(U ** 2 + U + 1, U - 1), ((1, 1), (1, 2)))),
+           (RationalU(U ** 2 + U + 1, U - 1), ((1, 1), (1, 2))),
+           (RationalU(U - 2), ((1, 1), (1, 2), (1, 3)))),
     closed((RationalU(3 * U - 2, U ** 5), (B, B)),
            (RationalU(-1, U - 1), (B, B)),
            (RationalU(U + 4, (U - 1) ** 2), (A, A, A)),
@@ -308,6 +312,80 @@ def test_expansion_against_geometric_sums_at_points(x):
         assert [n for n, _ in expanded] == list(range(1, order + 1))
         for n, coeff in expanded:
             assert coeff.eval_at(x) == want[n], (str(form), n)
+
+
+def t_mul(a, b, order):
+    """Truncated product of two T-series {T-degree: {u-exponent: int}}."""
+    out = {}
+    for t1, c1 in a.items():
+        for t2, c2 in b.items():
+            if t1 + t2 > order:
+                continue
+            acc = out.setdefault(t1 + t2, {})
+            for e1, v1 in c1.items():
+                for e2, v2 in c2.items():
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + v1 * v2
+    return out
+
+
+def convolution_expand(form, order):
+    """Reference for ``expand_zeta``: each geometric factor is built as the
+    dense series sum_k u^(-nu k) T^(N k) through T^order and multiplied in
+    by a full truncated convolution."""
+    pieces = []
+    for term in form.terms:
+        series = {0: dict(term.coefficient.numerator.coefficients)}
+        for N, nu in term.factors:
+            geometric = {N * k: {-nu * k: 1} for k in range(1, order // N + 1)}
+            series = t_mul(series, geometric, order)
+        pieces.append((term.coefficient.denominator, series))
+    total = _over_denominators(pieces)
+    return [(n, total[n] if n in total else RationalU.zero())
+            for n in range(1, order + 1)]
+
+
+def random_coefficient(rng):
+    """Mixed-sign numerator over 1, u^k or (u-1)^j."""
+    numerator = IntPoly({e: rng.choice((-3, -2, -1, 1, 2, 3))
+                         for e in rng.sample(range(5), rng.randint(1, 3))})
+    denominator = rng.choice((IntPoly.one(), U ** rng.randint(1, 4),
+                              (U - 1) ** rng.randint(1, 3)))
+    return RationalU(numerator, denominator)
+
+
+def cancelling_terms(rng, pool):
+    """The terms c (u-1) [x, w], -c [x] and c u [w], with x = (N, nu),
+    w = (N, nu+1) and the same extra factors on each.  They sum to zero,
+    since u w = x gives x/(1-x) - u w/(1-w) = (u-1) x/(1-x) w/(1-w); each
+    has nonzero T-coefficients, which cancel across terms and denominators."""
+    N, nu = rng.randint(1, 8), rng.randint(1, 8)
+    x, w = (N, nu), (N, nu + 1)
+    extra = tuple(rng.choice(pool) for _ in range(rng.randint(0, 2)))
+    c = random_coefficient(rng)
+    return [(c * RationalU(U - 1), (x, w) + extra), (-c, (x,) + extra),
+            (c * RationalU(U), (w,) + extra)]
+
+
+def test_expansion_against_dense_convolution():
+    rng = random.Random(2023)
+    below_smallest_n = 0
+    for _ in range(40):
+        # 0..6 factors per term, drawn with repetition from a small pool
+        pool = [(rng.randint(1, 8), rng.randint(1, 9)) for _ in range(3)]
+        terms = [(random_coefficient(rng),
+                  tuple(rng.choice(pool) for _ in range(rng.randint(0, 6))))
+                 for _ in range(rng.randint(1, 4))]
+        zero = cancelling_terms(rng, pool)
+        form = closed(*terms, *zero)
+        smallest = min(N for term in form.terms for N, _ in term.factors)
+        orders = {max(1, smallest - 1), rng.randint(1, 40), rng.randint(1, 40)}
+        for order in sorted(orders):
+            got = [c for _, c in expand_zeta(form, order)]
+            assert got == [c for _, c in convolution_expand(form, order)], \
+                (str(form), order)
+            assert all(c.is_zero() for _, c in expand_zeta(closed(*zero), order))
+            below_smallest_n += order < smallest
+    assert below_smallest_n > 0
 
 
 # ---------------------------------------------------------------------------
