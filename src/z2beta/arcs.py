@@ -237,6 +237,10 @@ class CoefficientComparison(NamedTuple):
     formula: RationalU
     status: str
 
+    def __str__(self):
+        return (f"T^{self.n} [{self.kind}] oracle: {self.oracle} | "
+                f"formula: {self.formula} | {self.status}")
+
 
 class DLComparisonReport(NamedTuple):
     """Per-coefficient comparison of the definition-level zeta functions with

@@ -139,8 +139,7 @@ def _cmd_oracle(args) -> int:
     if args.compare_dl:
         report = arcs.compare_with_dl(germ, args.order)
         for entry in report.entries:
-            print(f"T^{entry.n} [{entry.kind}] oracle: {entry.oracle} | "
-                  f"formula: {entry.formula} | {entry.status}")
+            print(entry)
         return 0 if report.all_consistent else 2
     print(_format_t_series(arcs.oracle_zeta(germ, args.sign, args.order)))
     return 0

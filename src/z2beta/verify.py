@@ -103,11 +103,6 @@ def _table_check(rec: _Recorder, name: str, cw, top: int, dim):
                            for n, got in dims.items() if got != dim(n)))
 
 
-def _row(entry) -> str:
-    return (f"T^{entry.n} {entry.kind}: oracle {entry.oracle}, "
-            f"formula {entry.formula}")
-
-
 # ---------------------------------------------------------------------------
 # the closed-form vectors
 
@@ -224,7 +219,7 @@ def _paper_suite(rec: _Recorder):
         report = arcs.compare_with_dl(arcs.MonomialGerm(exponent), 24)
         rows = report.mismatches + report.divergences
         rec.check(f"arc oracle matches the formula for x^{exponent}",
-                  not rows, "; ".join(map(_row, rows[:1])))
+                  not rows, "; ".join(map(str, rows[:1])))
     for exponent in (2, 4):
         report = arcs.compare_with_dl(arcs.MonomialGerm(exponent), 24)
         expected_div = {n for n in range(1, 25)
@@ -238,7 +233,7 @@ def _paper_suite(rec: _Recorder):
         rec.check(f"arc oracle divergence report for x^{exponent}",
                   not wrong and found == expected_div,
                   "; ".join([f"divergences at {sorted(found)}, expected "
-                             f"{sorted(expected_div)}", *map(_row, wrong[:1])]))
+                             f"{sorted(expected_div)}", *map(str, wrong[:1])]))
 
     rec.criterion = 1  # the Laurent view of the point series
     window = laurent_expand(RationalU(u, u - 1), 6)
@@ -428,7 +423,7 @@ def _property_suite(rec: _Recorder):
     naive = []
     for exponent in range(1, 6):
         report = arcs.compare_with_dl(arcs.MonomialGerm(exponent), 24)
-        naive += [f"x^{exponent} at {_row(e)}" for e in report.entries
+        naive += [f"x^{exponent} at {e}" for e in report.entries
                   if e.kind == "naive" and e.status != arcs.MATCH]
     rec.check_cases("non-equivariant projection matches the naive zeta (N<=5)",
                     naive)

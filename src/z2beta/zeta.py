@@ -7,12 +7,12 @@ the signed zeta functions the coefficient is (u-1)^(|I|-1) times the class
 of the two-sheeted covering of the stratum; for the naive one it is
 (u-1)^|I| times the ordinary class of the stratum itself.
 
-One driver, ``expand_zeta``, turns a closed form into T-coefficients, and
-semantic equality reads its windows.  Only each term's coefficient p/q is a
-true fraction: its series starts from p as {T-degree: {u-exponent: int}},
-each geometric factor (N, nu) is one pass of the recurrence
-out_n = u^-nu (a_(n-N) + out_(n-N)), the integer sums are taken per
-distinct q, and one RationalU is built per (q, T-degree) at the end.
+One routine, ``_t_series``, turns a closed form into its T-coefficients
+from T^0 on, and both ``expand_zeta`` and semantic equality read it.  Only
+each term's coefficient p/q is a true fraction: its series starts from p at
+T^0 as {T-degree: {u-exponent: int}}, each geometric factor (N, nu) is one
+pass of the recurrence out_n = u^-nu (a_(n-N) + out_(n-N)), the integer
+sums are taken per distinct q, and one RationalU is built per (q, T-degree).
 
 Covering classes are *inputs*: carving them out of charts would need real
 semialgebraic geometry, and the worked examples hand them over directly.
@@ -262,24 +262,38 @@ def default_expansion_order(resolution: ResolutionData) -> int:
 
 
 def expand_zeta(form: ZetaClosedForm, order: int) -> list:
-    """Coefficients of T^1 .. T^order, exactly.
-
-    A term's numerator times its geometric factors has integer Laurent
-    polynomials in u as T-coefficients: ``_geometric`` applies one factor
-    at a time by its recurrence, and ``_over_denominators`` builds the
-    RationalU values once, at the end.
-    """
+    """Coefficients of T^1 .. T^order, exactly: ``_t_series`` past T^0."""
     if order < 1:
         raise ValueError("order must be positive")
-    pieces = []
+    return _t_series(form, order)[1:]
+
+
+def _t_series(form: ZetaClosedForm, order: int) -> list:
+    """(n, coefficient of T^n) for n = 0 .. order: each term's integer
+    series starts from its numerator p at T^0 and ``_geometric`` applies its
+    factors; the series are summed per distinct denominator q, and one
+    RationalU is built per (q, T-degree) and added across the q's."""
+    by_denominator = {}
     for term in form.terms:
-        series = {0: dict(term.coefficient.numerator.coefficients)}
+        series = {0: term.coefficient.numerator.coefficients}
         for N, nu in term.factors:
             series = _geometric(series, N, nu, order)
-        pieces.append((term.coefficient.denominator, series))
-    total = _over_denominators(pieces)
+        sums = by_denominator.setdefault(term.coefficient.denominator, {})
+        for n, laurent in series.items():
+            acc = sums.setdefault(n, {})
+            for e, c in laurent.items():
+                acc[e] = acc.get(e, 0) + c
+    total = {}
+    for q, sums in by_denominator.items():
+        for n, acc in sums.items():
+            acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                k = max(0, -min(acc))
+                value = RationalU(IntPoly._trusted(
+                    {e + k: c for e, c in acc.items()}), q.shift(k))
+                total[n] = total[n] + value if n in total else value
     return [(n, total[n] if n in total else RationalU.zero())
-            for n in range(1, order + 1)]
+            for n in range(order + 1)]
 
 
 def _geometric(a: dict, N: int, nu: int, order: int) -> dict:
@@ -297,29 +311,6 @@ def _geometric(a: dict, N: int, nu: int, order: int) -> dict:
     return out
 
 
-def _over_denominators(pieces) -> dict:
-    """Sum of series / q over (q, T-polynomial) pairs, as {T-degree:
-    nonzero RationalU}: the integer sums are taken per distinct q, and one
-    RationalU is built per (q, T-degree)."""
-    by_denominator = {}
-    for q, series in pieces:
-        sums = by_denominator.setdefault(q, {})
-        for t, laurent in series.items():
-            acc = sums.setdefault(t, {})
-            for e, c in laurent.items():
-                acc[e] = acc.get(e, 0) + c
-    total = {}
-    for q, sums in by_denominator.items():
-        for t, acc in sums.items():
-            acc = {e: c for e, c in acc.items() if c}
-            if acc:
-                k = max(0, -min(acc))
-                value = RationalU(IntPoly({e + k: c for e, c in acc.items()}),
-                                  q.shift(k))
-                total[t] = total[t] + value if t in total else value
-    return {t: c for t, c in total.items() if not c.is_zero()}
-
-
 def zeta_equal(a: ZetaClosedForm, b: ZetaClosedForm) -> bool:
     """Semantic equality as rational functions of T, read off expansions.
 
@@ -327,21 +318,16 @@ def zeta_equal(a: ZetaClosedForm, b: ZetaClosedForm) -> bool:
     largest multiplicity in a term of either side, and K = sum N * mult.
     Each term times D is a T-polynomial of degree <= K, so (a - b) * D is
     one too.  D has constant term 1, so (a - b) * D is zero exactly when
-    a - b vanishes through T^K: the T^0 coefficients, which come from terms
-    with no factor and which ``expand_zeta`` leaves out, are compared
-    directly, and T^1 .. T^K on the two windows.
+    a - b vanishes through T^K: the two ``_t_series`` windows T^0 .. T^K
+    agree.
     """
     multiplicities = {}
     for form in (a, b):
         for term in form.terms:
             for f, mult in Counter(term.factors).items():
                 multiplicities[f] = max(multiplicities.get(f, 0), mult)
-    constants = [sum((t.coefficient for t in form.terms if not t.factors),
-                     RationalU.zero()) for form in (a, b)]
-    if constants[0] != constants[1]:
-        return False
     order = sum(N * mult for (N, _), mult in multiplicities.items())
-    return order == 0 or expand_zeta(a, order) == expand_zeta(b, order)
+    return _t_series(a, order) == _t_series(b, order)
 
 
 # ---------------------------------------------------------------------------

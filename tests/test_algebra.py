@@ -24,6 +24,15 @@ from z2beta.errors import (
     NonIntegerExpansion,
     PoleAtPoint,
 )
+from z2beta.zeta import (
+    ZetaClosedForm,
+    dl_zeta_naive,
+    dl_zeta_signed,
+    expand_zeta,
+    monomial_resolution,
+    x2_plus_y4_resolution,
+    zeta_equal,
+)
 
 U = IntPoly.u()
 
@@ -223,8 +232,9 @@ def test_monomial_denominator_against_gcd_normal_form():
 
 
 def test_values_and_arc_oracle_need_no_poly_gcd(monkeypatch):
-    # P + c*u/(u-1), its scaling by u^-n and the arc oracle combine normal
-    # forms whose partial gcds are decided by shape; count the full ones
+    # P + c*u/(u-1), its scaling by u^-n, the arc oracle and the zeta
+    # series combine normal forms whose partial gcds are decided by shape;
+    # count the full ones
     calls = []
     real_gcd = algebra.poly_gcd
 
@@ -247,6 +257,21 @@ def test_values_and_arc_oracle_need_no_poly_gcd(monkeypatch):
         for sign in ("+", "-"):
             assert len(oracle_zeta(germ, sign, 256)) == 256
         assert len(oracle_zeta_naive(germ, 256)) == 256
+    # the zeta series sum each denominator, a power of u times (u-1)^j, apart
+    x2y4 = x2_plus_y4_resolution()
+    for resolution, order in ([(x2y4, 128)]
+                              + [(monomial_resolution(N), 48)
+                                 for N in range(1, 9)]):
+        forms = [dl_zeta_signed(resolution, sign) for sign in ("+", "-")]
+        for form in forms + [dl_zeta_naive(resolution)]:
+            assert len(expand_zeta(form, order)) == order
+    assert zeta_equal(dl_zeta_naive(x2y4), dl_zeta_signed(x2y4, "+").scaled(
+        RationalU(U - 1)))
+    # terms over 1 and over u-1: put over one common denominator, their
+    # multi-term numerators would need poly_gcd at every T-degree
+    mixed = ZetaClosedForm.from_terms([(RationalU(U + 2), ((2, 2),)),
+                                       (RationalU(U, U - 1), ((4, 3),))])
+    assert len(expand_zeta(mixed, 64)) == 64
     assert calls == []
 
 

@@ -11,7 +11,6 @@ from z2beta.errors import BadGcd, MalformedInput, UnknownDivisor
 from z2beta.zeta import (
     ZetaClosedForm,
     ZetaTerm,
-    _over_denominators,
     check_sign_identity,
     default_expansion_order,
     dl_zeta_naive,
@@ -331,17 +330,19 @@ def t_mul(a, b, order):
 def convolution_expand(form, order):
     """Reference for ``expand_zeta``: each geometric factor is built as the
     dense series sum_k u^(-nu k) T^(N k) through T^order and multiplied in
-    by a full truncated convolution."""
-    pieces = []
+    by a full truncated convolution, and each term's T-coefficient c/q is
+    its own RationalU(c * u^k, q * u^k), added to the others with +."""
+    total = [RationalU.zero()] * (order + 1)
     for term in form.terms:
         series = {0: dict(term.coefficient.numerator.coefficients)}
         for N, nu in term.factors:
             geometric = {N * k: {-nu * k: 1} for k in range(1, order // N + 1)}
             series = t_mul(series, geometric, order)
-        pieces.append((term.coefficient.denominator, series))
-    total = _over_denominators(pieces)
-    return [(n, total[n] if n in total else RationalU.zero())
-            for n in range(1, order + 1)]
+        for n, laurent in series.items():
+            k = max(0, -min(laurent, default=0))
+            total[n] += RationalU(IntPoly({e + k: c for e, c in laurent.items()}),
+                                  term.coefficient.denominator * U ** k)
+    return list(enumerate(total))[1:]
 
 
 def random_coefficient(rng):
@@ -464,13 +465,21 @@ EQUALITY_PAIRS = (
      True),
     (unmerged((RationalU(1), (A, A))), closed((RationalU(1), (A,))), False),
     (*AT_THE_BOUND, False),
-    # empty-factor (T^0) terms: compared by their sum
+    # empty-factor (T^0) terms next to factored ones
     (unmerged((RationalU(1, U - 1), ()), (RationalU(U), (A,)), (1, ())),
      closed((RationalU(U, U - 1), ()), (RationalU(U), (A,))),
      True),
     (closed((RationalU(5), ()), (RationalU(U), (A,))),
      closed((RationalU(U), (A,))),
      False),
+    # only empty-factor terms, so K = 0: 1/(u-1) + u = (u^2-u+1)/(u-1)
+    (unmerged((RationalU(1, U - 1), ()), (RationalU(U), ())),
+     closed((RationalU(U ** 2 - U + 1, U - 1), ())),
+     True),
+    (closed((RationalU(2), ())), closed((RationalU(1), ())), False),
+    (unmerged((RationalU(1, U - 1), ()), (RationalU(-1, U - 1), ())),
+     ZetaClosedForm.zero(),
+     True),
     (dl_zeta_naive(x2_plus_y4_resolution()),
      dl_zeta_signed(x2_plus_y4_resolution(), "+").scaled(RationalU(U - 1)),
      True),
