@@ -8,15 +8,18 @@ with m = n/N, and leaves a_{m+1}, ..., a_n free.  The involution gamma(t)
 class of the arc space is the class of the real root set of a_m^N = +-1,
 with the induced sign action, times an affine factor.
 
-This module computes those classes straight from the definition and checks
-the stratification itself by brute-force polynomial expansion, so it can
-serve as an independent oracle against the resolution-data engine.  The
-scope is deliberately one monomial variable: that is exactly the family
-where every claim is checkable symbolically.
+This module computes those classes straight from the definition and
+re-derives the stratification by brute-force polynomial expansion, so it
+can serve as an independent oracle against the resolution-data engine:
+symbolic_constraint_check reports the conditions it finds, and verify
+compares them with m = n/N.  The scope is deliberately one monomial
+variable: that is exactly the family where every claim is checkable
+symbolically.
 """
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple
 
 from .algebra import U_MINUS_ONE, IntPoly, RationalU
@@ -31,6 +34,7 @@ class MonomialGerm(NamedTuple("MonomialGerm", [("exponent", int)])):
     __slots__ = ()
 
     def __new__(cls, exponent: int):
+        exponent = index(exponent)  # TypeError for 2.0, "2", ...
         if exponent < 1:
             raise ValueError("the exponent must be a positive integer")
         return super().__new__(cls, exponent)
@@ -140,10 +144,6 @@ def _sign_twisted(poly, base: int):
     return out
 
 
-def _negate(poly):
-    return {m: -c for m, c in poly.items()}
-
-
 class ConstraintReport(NamedTuple):
     """Result of re-deriving the arc conditions by expansion.
 
@@ -159,12 +159,16 @@ class ConstraintReport(NamedTuple):
 
 
 def symbolic_constraint_check(germ: MonomialGerm, n: int) -> ConstraintReport:
-    """Expand f(gamma(t)) with indeterminate coefficients and verify that the
-    order-n conditions reduce to the triangular system used by arc_class.
+    """Expand f(gamma(t)) with indeterminate coefficients, check that the
+    order-n conditions form a triangular system, and report them.
 
-    Also verifies equivariance: substituting t -> -t multiplies the t^k
-    coefficient by (-1)^k, i.e. the coefficient action is a_j -> (-1)^j a_j.
-    Raises ConstraintMismatch on any deviation (which would be a bug).
+    One pass over t^1..t^n, with the next pivot a_j^N at t^(jN): below it
+    the t^k coefficient vanishes once a_1 = ... = a_(j-1) = 0; at it it
+    reduces to exactly a_j^N, which forces a_j = 0 below t^n and is the
+    root equation at t^n.  Equivariance: a_j -> (-1)^j a_j, the action of
+    t -> -t, multiplies the t^k coefficient by (-1)^k.  Raises
+    ConstraintMismatch when the expansion breaks this (which would be a
+    bug); comparing the report with the shortcut m = n/N is left to verify.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -173,52 +177,30 @@ def symbolic_constraint_check(germ: MonomialGerm, n: int) -> ConstraintReport:
     N = germ.exponent
     base, coeffs = _germ_coefficients(N, n)
 
-    for k in range(n + 1):
-        expected = coeffs[k] if k % 2 == 0 else _negate(coeffs[k])
-        if _sign_twisted(coeffs[k], base) != expected:
+    conditions = []
+    j = 1  # index of the next pivot; a_1, ..., a_(j-1) are forced to vanish
+    for k in range(1, n + 1):
+        coeff = coeffs[k]
+        if _sign_twisted(coeff, base) != {m: (-1) ** k * c
+                                          for m, c in coeff.items()}:
             raise ConstraintMismatch(
                 f"t^{k} coefficient is not equivariant under t -> -t")
-
-    conditions = []
-    first_free = 1  # smallest index not yet forced to vanish
-    for k in range(1, n):
-        reduced = _drop_vars(coeffs[k], first_free, base)
-        if k < first_free * N:
+        reduced = _drop_vars(coeff, j, base)
+        if k < j * N:
             if reduced:
                 raise ConstraintMismatch(
                     f"t^{k} condition does not vanish modulo "
-                    f"a_1 = ... = a_{first_free - 1} = 0")
-        elif k == first_free * N:
-            if reduced != {N * base ** first_free: 1}:
-                raise ConstraintMismatch(
-                    f"t^{k} condition is not a_{first_free}^{N} after reduction")
-            conditions.append(f"a{first_free} = 0")
-            first_free += 1
-        else:
+                    f"a_1 = ... = a_{j - 1} = 0")
+        elif reduced != {N * base ** j: 1}:
             raise ConstraintMismatch(
-                f"unexpected gap at t^{k}: next pivot is t^{first_free * N}")
-
-    final = _drop_vars(coeffs[n], first_free, base)
-    if n == first_free * N:
-        if final != {N * base ** first_free: 1}:
-            raise ConstraintMismatch(
-                f"t^{n} condition is not a_{first_free}^{N} after reduction")
-        conditions.append(f"a{first_free}^{N} = +-1")
-        base_index = first_free
-        if base_index != n // N or n % N != 0:
-            raise ConstraintMismatch(
-                f"base index {base_index} disagrees with n/N = {n}/{N}")
-    else:
-        if final:
-            raise ConstraintMismatch(
-                f"t^{n} condition does not vanish although {N} does not "
-                f"divide {n}")
-        conditions.append("0 = +-1 (empty)")
-        base_index = None
-        if n % N == 0:
-            raise ConstraintMismatch(
-                f"conditions are unsatisfiable although {N} divides {n}")
-    return ConstraintReport(N, n, tuple(range(1, first_free)), base_index,
+                f"t^{k} condition is not a_{j}^{N} after reduction")
+        elif k < n:
+            conditions.append(f"a{j} = 0")
+            j += 1
+    base_index = j if n == j * N else None
+    conditions.append("0 = +-1 (empty)" if base_index is None
+                      else f"a{j}^{N} = +-1")
+    return ConstraintReport(N, n, tuple(range(1, j)), base_index,
                             tuple(conditions))
 
 

@@ -18,7 +18,8 @@ import re
 import sys
 
 from . import arcs, homology, verify, zeta
-from .algebra import LaurentWindow, RationalU, laurent_expand, render_terms
+from .algebra import (IntPoly, LaurentWindow, RationalU, laurent_expand,
+                      render_terms)
 from .calculus import VirtualClass
 from .dsl import evaluate, parse_expression
 from .errors import ToolkitError
@@ -64,12 +65,14 @@ def format_output(value, expand=None) -> str:
     """Canonical text for any result value.
 
     With ``expand`` = k the text is the Laurent window down to exponent -k
-    for series values, or the closed form and its T-expansion table to
-    order k for zeta closed forms.
+    for series values and quotient polynomials, or the closed form and its
+    T-expansion table to order k for zeta closed forms.
     """
     if expand is not None:
         if isinstance(value, VirtualClass):
             value = value.value
+        elif isinstance(value, IntPoly):  # a quotient's ordinary polynomial
+            value = RationalU(value)
         if isinstance(value, RationalU):
             top = int(value.degree) if not value.is_zero() else 0
             window = laurent_expand(value, max(1, top + expand + 1))

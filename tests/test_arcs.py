@@ -5,13 +5,16 @@ from math import comb
 
 import pytest
 
+from z2beta import arcs
 from z2beta.algebra import IntPoly, RationalU
 from z2beta.arcs import (
     KNOWN_DIVERGENCE,
     MATCH,
     ConstraintReport,
     MonomialGerm,
+    _drop_vars,
     _germ_coefficients,
+    _sign_twisted,
     arc_class,
     arc_class_plain,
     compare_with_dl,
@@ -19,6 +22,7 @@ from z2beta.arcs import (
     oracle_zeta_naive,
     symbolic_constraint_check,
 )
+from z2beta.errors import ConstraintMismatch
 from z2beta.zeta import dl_zeta_naive, expand_zeta, monomial_resolution
 
 U = IntPoly.u()
@@ -71,6 +75,10 @@ def test_germ_validation():
         arc_class(MonomialGerm(2), 0, "+")
     with pytest.raises(ValueError):
         arc_class(MonomialGerm(2), 2, "plus")
+    # a float exponent would give classes with float powers of u
+    for bad in (2.0, 1.5, "2"):
+        with pytest.raises(TypeError):
+            MonomialGerm(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +145,80 @@ def test_constraint_sweep():
                 assert report.forced_zero == tuple(range(1, n // exponent))
             else:
                 assert report.base_index is None
+
+
+def _two_block_reference(germ, n):
+    """The check as it stood with a separate t^n block: an equivariance
+    pass, a loop over t^1..t^(n-1), then the last coefficient on its own."""
+    N = germ.exponent
+    base, coeffs = _germ_coefficients(N, n)
+    for k in range(n + 1):
+        expected = {m: (-1) ** k * c for m, c in coeffs[k].items()}
+        assert _sign_twisted(coeffs[k], base) == expected
+    conditions, first_free = [], 1
+    for k in range(1, n):
+        reduced = _drop_vars(coeffs[k], first_free, base)
+        if k < first_free * N:
+            assert not reduced
+        else:
+            assert k == first_free * N
+            assert reduced == {N * base ** first_free: 1}
+            conditions.append(f"a{first_free} = 0")
+            first_free += 1
+    final = _drop_vars(coeffs[n], first_free, base)
+    if n == first_free * N:
+        assert final == {N * base ** first_free: 1}
+        conditions.append(f"a{first_free}^{N} = +-1")
+        base_index = first_free
+    else:
+        assert not final
+        conditions.append("0 = +-1 (empty)")
+        base_index = None
+    return ConstraintReport(N, n, tuple(range(1, first_free)), base_index,
+                            tuple(conditions))
+
+
+def test_one_pass_matches_two_block_reference():
+    for exponent in range(1, 13):
+        germ = MonomialGerm(exponent)
+        for n in range(1, 13):
+            assert (symbolic_constraint_check(germ, n)
+                    == _two_block_reference(germ, n)), (exponent, n)
+
+
+def _odd_weight_in_even_degree(base, coeffs):
+    coeffs[4][base + base ** 2] = 2  # a_1 a_2 has weight 3, not 4
+
+
+def _term_without_a1_at_t1(base, coeffs):
+    coeffs[1][base ** 2 + base ** 3] = 1  # a_2 a_3: odd weight, no a_1
+
+
+def _doubled_pivot(k):
+    def tamper(base, coeffs):
+        coeffs[k] = {m: 2 * c for m, c in coeffs[k].items()}
+    return tamper
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_odd_weight_in_even_degree, r"t\^4 coefficient is not equivariant"),
+    (_term_without_a1_at_t1, r"t\^1 condition does not vanish"),
+    (_doubled_pivot(2), r"t\^2 condition is not a_1\^2"),
+    (_doubled_pivot(4), r"t\^4 condition is not a_2\^2"),
+], ids=["equivariance", "vanishing", "pivot", "root-pivot"])
+def test_tampered_expansion_raises_at_its_degree(monkeypatch, tamper,
+                                                 message):
+    # x^2 at order 4: t^1 and t^3 vanish, t^2 pivots on a_1, t^4 on a_2
+    real = arcs._germ_coefficients
+
+    def tampered(exponent, n):
+        base, coeffs = real(exponent, n)
+        tamper(base, coeffs)
+        return base, coeffs
+
+    monkeypatch.setattr(arcs, "_germ_coefficients", tampered)
+    with pytest.raises(ConstraintMismatch, match=message):
+        symbolic_constraint_check(MonomialGerm(2), 4)
 
 
 def test_packed_expansion_counts():

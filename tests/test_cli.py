@@ -123,6 +123,13 @@ def test_eval_with_expansion(capsys):
     assert "tail: 1" in out
 
 
+def test_eval_quotient_with_expansion(capsys):
+    # a quotient's ordinary polynomial is read as a series over 1
+    code = main(["eval", "quotient(sphere(2,free))", "--expand", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == "u^2 + 1\n  tail: 0\n"
+
+
 def test_eval_error_exit_code(capsys):
     code = main(["eval", "sphere(0,free)"])
     err = capsys.readouterr().err

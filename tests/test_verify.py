@@ -5,6 +5,7 @@ import pytest
 
 from z2beta import arcs, homology
 from z2beta.calculus import affine_product
+from z2beta.errors import ConstraintMismatch
 from z2beta.verify import (
     SUITES,
     _arc_checks,
@@ -57,6 +58,24 @@ def test_arc_dimension_check_fails_on_a_wrong_class(monkeypatch):
     check = results["arc class degree equals arc space dimension"]
     assert check.passed is False
     assert "first x^1 n=1 sign +: degree 1, dimension 0" in check.detail
+
+
+def test_a_faulty_arc_expansion_fails_only_its_case(monkeypatch):
+    # a ConstraintMismatch at one (N, n) is that case's failure, and the
+    # rest of the suite still runs and passes
+    real = arcs.symbolic_constraint_check
+
+    def faulty(germ, n):
+        if (germ.exponent, n) == (2, 4):
+            raise ConstraintMismatch("t^4 condition is not a_2^2")
+        return real(germ, n)
+
+    monkeypatch.setattr(arcs, "symbolic_constraint_check", faulty)
+    failed = [r for r in run_suite("properties") if not r.passed]
+    assert [r.name for r in failed] == [
+        "arc conditions reduce to the triangular system (N<=5, n<=12)"]
+    assert failed[0].detail == ("1 failing, first x^2 n=4: "
+                                "t^4 condition is not a_2^2")
 
 
 @pytest.mark.parametrize("function,check,case", [
