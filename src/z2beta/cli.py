@@ -5,10 +5,12 @@ Verbs: ``eval`` (expression language), ``homology`` (G-CW file), ``zeta``
 suites).  Results go to stdout, diagnostics to stderr; exit status is 0 on
 success, 1 on input or validation errors, 2 when a verification check fails.
 
-``main`` builds only the subparser of the verb it is given (all five when
-the first argument is not exactly a verb), afresh on every call.  There is
-no module-level parser: one would be faster still, but it raised the
-benchmark's ``cli_session`` ``peak_rss_mb`` by about 21%.
+``main`` parses a verb's arguments with that verb's parser alone, the one
+the full parser adds for it, built afresh on each call; what it leaves over,
+and an argv that does not start with a verb, goes to the full parser.  No
+parser is kept between calls: that is faster still, but raised the
+benchmark's ``cli_session`` ``peak_rss_mb`` from 28.09 to 32.34 MB (less
+garbage per pass delays the full collections that free its re-imports).
 """
 
 from __future__ import annotations
@@ -185,11 +187,9 @@ def _int_at_least(low: int):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if value > MAX_ORDER:
-            raise argparse.ArgumentTypeError(
-                f"must be <= {MAX_ORDER}, got {value}")
+        if not low <= value <= MAX_ORDER:
+            bound = f">= {low}" if value < low else f"<= {MAX_ORDER}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
     return parse
 
@@ -200,85 +200,85 @@ class _Parser(argparse.ArgumentParser):
         raise ToolkitError(message)
 
 
-def _add_eval(sub) -> None:
-    p_eval = sub.add_parser("eval", help="evaluate a class expression")
-    p_eval.add_argument("expression")
-    p_eval.add_argument("--expand", type=_int_at_least(0), metavar="K",
+def _add_eval(parser) -> None:
+    parser.add_argument("expression")
+    parser.add_argument("--expand", type=_int_at_least(0), metavar="K",
                         help="append the Laurent window down to u^-K")
-    p_eval.set_defaults(handler=_cmd_eval)
+    parser.set_defaults(handler=_cmd_eval)
 
 
-def _add_homology(sub) -> None:
-    p_hom = sub.add_parser("homology", help="equivariant homology of a G-CW file")
-    p_hom.add_argument("file")
-    p_hom.add_argument("--range", metavar="NMIN..NMAX",
-                       help="degrees to tabulate (default -5..dim+1)")
-    p_hom.add_argument("--series", action="store_true",
-                       help="also print the equivariant series")
-    p_hom.set_defaults(handler=_cmd_homology)
+def _add_homology(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--range", metavar="NMIN..NMAX",
+                        help="degrees to tabulate (default -5..dim+1)")
+    parser.add_argument("--series", action="store_true",
+                        help="also print the equivariant series")
+    parser.set_defaults(handler=_cmd_homology)
 
 
-def _add_zeta(sub) -> None:
-    p_zeta = sub.add_parser("zeta", help="zeta functions from resolution data")
-    p_zeta.add_argument("file")
-    p_zeta.add_argument("--sign", choices=["+", "-", "naive"], default="+")
-    p_zeta.add_argument("--expand", type=_int_at_least(0), nargs="?", const=0,
+def _add_zeta(parser) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--sign", choices=["+", "-", "naive"], default="+")
+    parser.add_argument("--expand", type=_int_at_least(0), nargs="?", const=0,
                         metavar="K",
                         help="append the T-expansion to order K "
                              "(default or 0: 4 periods of every factor)")
-    p_zeta.set_defaults(handler=_cmd_zeta)
+    parser.set_defaults(handler=_cmd_zeta)
 
 
-def _add_oracle(sub) -> None:
-    p_oracle = sub.add_parser("oracle",
-                              help="definition-level arc classes of x^N")
-    p_oracle.add_argument("exponent", type=_int_at_least(1), metavar="N")
-    p_oracle.add_argument("--sign", choices=["+", "-"], default="+")
-    p_oracle.add_argument("--order", type=_int_at_least(1), default=12,
-                          metavar="K")
-    p_oracle.add_argument("--compare-dl", action="store_true",
-                          help="compare against the resolution-data engine")
-    p_oracle.set_defaults(handler=_cmd_oracle)
+def _add_oracle(parser) -> None:
+    parser.add_argument("exponent", type=_int_at_least(1), metavar="N")
+    parser.add_argument("--sign", choices=["+", "-"], default="+")
+    parser.add_argument("--order", type=_int_at_least(1), default=12,
+                        metavar="K")
+    parser.add_argument("--compare-dl", action="store_true",
+                        help="compare against the resolution-data engine")
+    parser.set_defaults(handler=_cmd_oracle)
 
 
-def _add_verify(sub) -> None:
-    p_verify = sub.add_parser("verify", help="run the built-in check suites")
-    p_verify.add_argument("--suite", choices=list(verify.SUITES), default="all")
-    p_verify.set_defaults(handler=_cmd_verify)
+def _add_verify(parser) -> None:
+    parser.add_argument("--suite", choices=list(verify.SUITES), default="all")
+    parser.set_defaults(handler=_cmd_verify)
 
 
-#: Verb -> the function that registers its subparser, in ``--help`` order.
-_VERBS = {"eval": _add_eval, "homology": _add_homology, "zeta": _add_zeta,
-          "oracle": _add_oracle, "verify": _add_verify}
+#: Verb -> (help line, function adding its arguments), in ``--help`` order.
+_VERBS = {"eval": ("evaluate a class expression", _add_eval),
+          "homology": ("equivariant homology of a G-CW file", _add_homology),
+          "zeta": ("zeta functions from resolution data", _add_zeta),
+          "oracle": ("definition-level arc classes of x^N", _add_oracle),
+          "verify": ("run the built-in check suites", _add_verify)}
 
 
-def build_parser(verb=None) -> argparse.ArgumentParser:
-    """The parser of every verb, or of ``verb`` alone when one is named.
-
-    With one verb the usage line still lists all five, so an error that the
-    top-level parser reports reads the same either way.
-    """
-    parser = _Parser(prog="z2beta",
-                     description="Equivariant virtual Poincare series and "
-                                 "zeta functions of Nash germs, exactly.")
-    if verb is None:
-        # no metavar: it would rename the verb in the "invalid choice" and
-        # "required" errors
-        sub = parser.add_subparsers(dest="verb", required=True)
-        for add in _VERBS.values():
-            add(sub)
-    else:
-        sub = parser.add_subparsers(dest="verb", required=True,
-                                    metavar="{" + ",".join(_VERBS) + "}")
-        _VERBS[verb](sub)
+def _verb_parser(verb: str) -> argparse.ArgumentParser:
+    """The parser of ``verb`` alone: the one ``build_parser`` adds for it."""
+    parser = _Parser(prog=f"z2beta {verb}")
+    _VERBS[verb][1](parser)
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one subparser per verb."""
+    parser = _Parser(prog="z2beta", description="Equivariant virtual Poincare "
+                     "series and zeta functions of Nash germs, exactly.")
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_line, add) in _VERBS.items():
+        add(sub.add_parser(verb, help=help_line))
+    return parser
+
+
+def _parse_args(argv):
+    """Parse argv with its verb's parser, or the full one if it leaves any."""
+    if argv and argv[0] in _VERBS:
+        args, extra = _verb_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.handler(args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,12 +134,12 @@ class _Parser(LiteralReader):
             if kind == EXPR and arg.func == "quotient":
                 raise _not_a_class(token.text, index, start.line, start.column)
             args.append(arg)
-        closing = self.peek()
-        if closing.kind != ")":
+        stray = self.peek()  # "," or an argument to f(): too many arguments
+        if stray.kind == "," or (stray.kind != ")" and not signature):
             raise ArityError(
                 f"{token.text} takes {len(signature)} argument(s)",
-                closing.line, closing.column, expected=(")",))
-        self.advance()
+                stray.line, stray.column, expected=(")",))
+        self.expect(")")
         self.depth -= 1
         return Expression(token.text, tuple(args))
 

@@ -1,5 +1,6 @@
 """The command line front end: output formats and exit codes."""
 
+import argparse
 import json
 import sys
 
@@ -234,7 +235,13 @@ USAGE_ARGV = [
     ["--bogus", "eval", "point()"], ["eval", "point()", "extra"],
     ["eval", "point()", "--bogus"], ["zeta", "{file}", "--sign", "q"],
     ["verify", "--suite", "x"], ["oracle", "0"], ["oracle", "2000"],
-    ["eval", "point()", "--expand", "x"],
+    ["eval", "point()", "--expand", "x"], ["eval", "point()", "-h"],
+    ["eval", "point()", "--exp", "3"], ["eval", "point()", "--expand=3"],
+    ["eval", "point()", "--expand", "3", "--expand", "4"],
+    ["eval", "--", "point()"], ["eval", "point()", "--", "extra"],
+    ["oracle", "3", "--order", "4", "--", "5"],
+    ["oracle", "3", "--ord", "4", "--sign", "-"],
+    ["zeta", "{file}", "--expand"], ["verify", "--suite", "paper", "extra"],
 ]
 
 
@@ -256,9 +263,17 @@ def test_one_verb_parser_prints_as_the_full_one(argv, x2y4_file, capsys,
     # corpus leaves it out; this compares it on whichever Python runs
     argv = [arg.format(file=x2y4_file) for arg in argv]
     built = _run_main(argv, capsys)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full_parser())
+    monkeypatch.setattr(cli, "_parse_args",
+                        lambda argv: cli.build_parser().parse_args(argv))
     assert built == _run_main(argv, capsys)
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_verb_parser_is_the_subparser(verb):
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert cli._verb_parser(verb).format_help() \
+        == subparsers.choices[verb].format_help()
 
 
 def _count_parsers(monkeypatch):
@@ -275,11 +290,15 @@ def _count_parsers(monkeypatch):
 def test_main_builds_only_the_named_verb(monkeypatch, capsys):
     count = _count_parsers(monkeypatch)
     assert main(["eval", "point()"]) == 0
-    assert len(count) == 2
+    assert len(count) == 1
     count.clear()
     with pytest.raises(SystemExit):
         main(["--help"])
     assert len(count) == 6
+    count.clear()
+    # a left-over argument is reported by the full parser
+    assert main(["eval", "point()", "extra"]) == 1
+    assert len(count) == 1 + 6
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
@@ -287,7 +306,7 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["z2beta", "eval", "point()"])
     assert main() == 0
     assert capsys.readouterr().out.startswith("u/(u - 1)\n")
-    assert len(count) == 2
+    assert len(count) == 1
 
 
 @pytest.mark.parametrize("argv, content", [

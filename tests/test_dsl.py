@@ -111,6 +111,19 @@ def test_arity_too_many():
         parse_expression("sphere(1, fixed, 2)")
 
 
+@pytest.mark.parametrize("text, column, token", [
+    ("lift(1/u)", 7, "/"),
+    ("affprod(point(), 2 3)", 20, "3"),
+])
+def test_stray_token_is_not_an_arity_error(text, column, token):
+    # the argument count is right; the token after the last one is not ")"
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse_expression(text)
+    assert not isinstance(info.value, ArityError)
+    assert info.value.column == column and info.value.expected == (")",)
+    assert str(info.value).startswith(f"unexpected {token!r} at line 1")
+
+
 def test_bad_action_keyword():
     with pytest.raises(ArityError) as info:
         parse_expression("sphere(1, sideways)")
