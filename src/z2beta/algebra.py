@@ -427,7 +427,8 @@ class RationalU:
     def _settle(self, num: IntPoly, den: IntPoly):
         # num and den share no polynomial factor: fix content and sign only
         if not num:
-            num, den = IntPoly.zero(), IntPoly.one()
+            if den._coeffs != {0: 1}:
+                den = IntPoly.one()
         else:
             joint = den.content()
             if joint > 1:
@@ -840,14 +841,21 @@ def laurent_expand(f: RationalU, depth: int) -> LaurentWindow:
 
 def split_tail(f: RationalU):
     """(c, f - c*u/(u-1)) with c = ((u-1)f)(1), the fixed tail of f and the
-    rest; None when (u-1)^2 divides the denominator or c is not an integer."""
-    try:
-        c_value = (f * U_MINUS_ONE).eval_at(1)
-    except PoleAtPoint:
+    rest; None when (u-1)^2 divides the denominator or c is not an integer.
+
+    With f = num/den in lowest terms: if den(1) != 0 there is no pole at 1,
+    c = 0 and the rest is f itself.  Otherwise den = (u-1)q with q(1) =
+    den'(1), so c = num(1)/den'(1), and den'(1) = 0 is the double pole.
+    """
+    num, den = f.numerator.coefficients, f.denominator.coefficients
+    if sum(den.values()):
+        return 0, f
+    slope = sum(e * c for e, c in den.items())
+    if not slope:
         return None
-    if c_value.denominator != 1:
+    c, rest = divmod(sum(num.values()), slope)
+    if rest:
         return None
-    c = int(c_value)
     return c, f - c * TAIL_SERIES
 
 

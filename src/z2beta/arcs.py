@@ -82,8 +82,18 @@ def arc_class_plain(germ: MonomialGerm, n: int) -> RationalU:
 
 
 def oracle_zeta(germ: MonomialGerm, sign: str, order: int) -> list:
-    """Signed zeta coefficients from the definition: class times u^-n."""
-    return [(n, arc_class(germ, n, sign).value.shift(-n))
+    """Signed zeta coefficients from the definition: class times u^-n.
+
+    By the affine law the order-n class for N | n is the base class times
+    u^(n-m), m = n/N, so ``arc_class(germ, n, sign).value.shift(-n)`` is
+    the base value times u^-m: one shift, whose cost is the number of
+    terms, not n.
+    """
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    N = germ.exponent
+    return [(n, _base_class(germ, n // N, sign).value.shift(-(n // N))
+             if n % N == 0 else RationalU.zero())
             for n in range(1, order + 1)]
 
 

@@ -134,8 +134,11 @@ class _Parser(LiteralReader):
             if kind == EXPR and arg.func == "quotient":
                 raise _not_a_class(token.text, index, start.line, start.column)
             args.append(arg)
-        stray = self.peek()  # "," or an argument to f(): too many arguments
-        if stray.kind == "," or (stray.kind != ")" and not signature):
+        # "," or an argument to f() is too many arguments; the end of input
+        # is a missing ")", reported by expect below
+        stray = self.peek()
+        if stray.kind == "," or (not signature
+                                 and stray.kind not in (")", "end of input")):
             raise ArityError(
                 f"{token.text} takes {len(signature)} argument(s)",
                 stray.line, stray.column, expected=(")",))

@@ -15,9 +15,10 @@ from z2beta.algebra import (
     exact_divide,
     laurent_expand,
     poly_gcd,
+    split_tail,
 )
 from z2beta.arcs import MonomialGerm, oracle_zeta, oracle_zeta_naive
-from z2beta.calculus import VirtualClass
+from z2beta.calculus import Atom, VirtualClass, affine_product, atom_class
 from z2beta.errors import (
     DivisionByZero,
     ExpressionSyntaxError,
@@ -275,6 +276,31 @@ def test_values_and_arc_oracle_need_no_poly_gcd(monkeypatch):
     assert calls == []
 
 
+def test_oracle_and_affine_values_make_no_poly_product(monkeypatch):
+    # the arc oracle and a class value cost their number of terms: no
+    # IntPoly product at all, and the oracle to order K builds O(K) terms
+    # in all, where an affine factor per coefficient would build O(K^2)
+    calls, built = [], []
+    real_mul, real_trusted = IntPoly.__mul__, IntPoly._trusted.__func__
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return real_mul(a, b)
+
+    def counting_trusted(cls, coeffs):
+        built.append(len(coeffs))
+        return real_trusted(cls, coeffs)
+
+    monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(IntPoly, "__rmul__", counting_mul)
+    monkeypatch.setattr(IntPoly, "_trusted", classmethod(counting_trusted))
+    assert len(oracle_zeta(MonomialGerm(3), "+", 1024)) == 1024
+    assert sum(built) < 4 * 1024
+    value = affine_product(atom_class(Atom.point()), 1000).value
+    assert value == RationalU(IntPoly.monomial(1001), U - 1)
+    assert calls == []
+
+
 def _is_normal_form(value: RationalU) -> bool:
     num, den = value.numerator, value.denominator
     if num.is_zero():
@@ -432,3 +458,43 @@ def test_window_coefficient_lookup():
     with pytest.raises(IndexError):
         w.coefficient(5)
 
+
+def _split_tail_by_fraction(f):
+    # the previous route: c = ((u-1)f)(1) as an exact Fraction
+    try:
+        c = (f * RationalU(U - 1)).eval_at(1)
+    except PoleAtPoint:
+        return None
+    if c.denominator != 1:
+        return None
+    return int(c), f - int(c) * RationalU(U, U - 1)
+
+
+def test_split_tail_equals_the_fraction_route():
+    # den(1) != 0, a simple pole at 1 (integer c of either sign), a double
+    # pole and a non-integer c, on fixed and seeded random fractions
+    u1 = U - 1
+    cases = [RationalU.zero(), RationalU(U ** 2 + 1, U), RationalU(U, u1),
+             RationalU(-3 * U ** 4 + U, u1 * (U - 3)), RationalU(1, 2 * u1),
+             RationalU(1, u1 ** 2), RationalU(U ** 3, u1 ** 2 * (U + 1)),
+             RationalU(5, u1 * (U + 1))]
+    rng = random.Random(4242)
+    for _ in range(300):
+        num = random_poly(rng, max_degree=5, max_coeff=9)
+        q = IntPoly.zero()
+        while q.is_zero():
+            q = random_poly(rng, max_degree=3, max_coeff=4)
+        cases.append(RationalU(num, q * u1 ** rng.choice([0, 1, 1, 2])))
+    seen = set()
+    for f in cases:
+        got, want = split_tail(f), _split_tail_by_fraction(f)
+        assert got == want, f
+        if got is None:
+            seen.add("double" if f.denominator.evaluate(1) == 0
+                     and (f * RationalU(u1)).denominator.evaluate(1) == 0
+                     else "non-integer")
+        else:
+            seen.add("no pole" if got[0] == 0 else "pole")
+            if got[0] == 0:
+                assert got[1] is f
+    assert seen == {"no pole", "pole", "double", "non-integer"}

@@ -101,6 +101,21 @@ def test_oracle_zeta_minus_square_vanishes():
     assert all(c.is_zero() for _, c in oracle_zeta(MonomialGerm(2), "-", 10))
 
 
+def test_oracle_zeta_equals_per_coefficient_classes():
+    # the affine-law shortcut against the arc class of each order, its
+    # affine factor built and taken apart again; every coefficient is a
+    # fresh object, zeros included
+    for N in range(1, 9):
+        germ = MonomialGerm(N)
+        for sign in ("+", "-"):
+            coeffs = oracle_zeta(germ, sign, 96)
+            assert coeffs == [(n, arc_class(germ, n, sign).value.shift(-n))
+                              for n in range(1, 97)]
+            assert len({id(c) for _, c in coeffs}) == 96
+    with pytest.raises(ValueError):
+        oracle_zeta(MonomialGerm(2), "0", 4)
+
+
 def test_oracle_naive_coefficients():
     coeffs = dict(oracle_zeta_naive(MonomialGerm(2), 8))
     for m in (1, 2, 3, 4):

@@ -251,6 +251,37 @@ def test_value_is_built_in_normal_form():
                 == (expected.numerator, expected.denominator)
 
 
+def test_value_and_affine_product_equal_the_generic_route():
+    # _series builds P*(u-1) + c*u and affine_product the shifted P plus
+    # c*(u + ... + u^d) term by term; IntPoly ring operations are the
+    # reference.  Fixed cases: P = 0, c = 0, d = 0, the u^1 coefficient
+    # p_0 - p_1 + c cancelling, and shifted P cancelling c*u^d
+    u_minus_one = U - 1
+    cases = [(IntPoly.zero(), 0, 0), (IntPoly.zero(), 3, 5),
+             (IntPoly.zero(), -2, 1), (IntPoly({0: 2, 1: 5}), 3, 2),
+             (IntPoly({0: -4, 1: -1}), 3, 0), (IntPoly({0: -3}), 3, 4),
+             (IntPoly({0: 2, 3: -1}), -2, 1), (U ** 2, 0, 6)]
+    rng = random.Random(2718)
+    for _ in range(300):
+        low = rng.randint(0, 3)
+        poly = IntPoly({e: rng.choice([0, 1, -1, 2, -7, 10 ** 25])
+                        for e in range(low, low + rng.randint(0, 6))})
+        cases.append((poly, rng.choice([0, rng.randint(-9, -1),
+                                        rng.randint(1, 9)]),
+                      rng.randint(0, 8)))
+    for poly, tail, d in cases:
+        value = calculus._series(poly, tail)
+        if tail:
+            assert value.numerator == poly * u_minus_one + tail * U
+            assert value.denominator == u_minus_one
+        else:
+            assert (value.numerator, value.denominator) == (poly, 1)
+        shifted = affine_product(VirtualClass(poly, tail), d)
+        assert shifted.poly_part \
+            == poly.shift(d) + tail * IntPoly.geometric_sum(1, d)
+        assert shifted.fixed_tail == tail
+
+
 def test_from_value_decomposition():
     value = RationalU(U ** 2 + U) + 3 * TAIL_SERIES
     cls = VirtualClass.from_value(value)

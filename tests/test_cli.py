@@ -383,6 +383,7 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     (["oracle", "\u0663", "--order", "4"], None),
     (["homology", "{file}", "--range=\u0660..\u0662"], POINT),
     (["oracle", "2", "--order", "1_0"], None),
+    (["eval", "point("], None),
 ], ids=["cell-without-id", "top-level-list", "homology-not-json",
         "zeta-not-json", "zeta-negative-expand", "eval-negative-expand",
         "oracle-zero-exponent", "oracle-zero-order", "stratum-I-not-list",
@@ -403,7 +404,8 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
         "custom-double-pole",
         "complex-without-cells", "resolution-tail-digits-above-max",
         "resolution-nu-digits-above-max", "stratum-divisor-repeated",
-        "oracle-arabic-digit", "range-arabic-digit", "order-underscore"])
+        "oracle-arabic-digit", "range-arabic-digit", "order-underscore",
+        "eval-unclosed-call"])
 def test_bad_input_is_one_error_line(argv, content, x2y4_file, tmp_path,
                                      capsys):
     path = x2y4_file

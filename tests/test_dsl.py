@@ -114,6 +114,8 @@ def test_arity_too_many():
 @pytest.mark.parametrize("text, column, token", [
     ("lift(1/u)", 7, "/"),
     ("affprod(point(), 2 3)", 20, "3"),
+    ("point(", 7, "end of input"),
+    ("pair(", 6, "end of input"),
 ])
 def test_stray_token_is_not_an_arity_error(text, column, token):
     # the argument count is right; the token after the last one is not ")"
