@@ -69,10 +69,14 @@ class ResolutionData(NamedTuple):
     strata: tuple
 
 
+#: The least integer with more than MAX_COEFFICIENT_DIGITS digits.
+_DIGIT_BOUND = 10 ** MAX_COEFFICIENT_DIGITS
+
+
 def _check_digits(value: int, field: str) -> None:
     # JSON integers get the digit bound of polynomial text, so no merged or
     # printed value reaches Python's 4300-digit limit on integer strings
-    if abs(value) >= 10 ** MAX_COEFFICIENT_DIGITS:
+    if abs(value) >= _DIGIT_BOUND:
         raise MalformedInput(
             f"{field} longer than {MAX_COEFFICIENT_DIGITS} digits")
 
@@ -198,7 +202,11 @@ class ZetaClosedForm(NamedTuple):
         merged = {}
         for coefficient, factors in terms:
             key = tuple(sorted(factors))
-            merged[key] = merged.get(key, RationalU.zero()) + coefficient
+            if key in merged:
+                coefficient = merged[key] + coefficient
+            elif not isinstance(coefficient, RationalU):  # or TypeError
+                coefficient = RationalU.zero() + coefficient
+            merged[key] = coefficient
         cleaned = [ZetaTerm(coef, key) for key, coef in merged.items()
                    if not coef.is_zero()]
         cleaned.sort(key=lambda t: t.factors)
@@ -232,16 +240,20 @@ class ZetaClosedForm(NamedTuple):
 def dl_zeta_signed(resolution: ResolutionData, sign: str) -> ZetaClosedForm:
     """Signed zeta function: per stratum, (u-1)^(|I|-1) times the covering
     class, times the geometric factor of every divisor through the stratum."""
-    return _over_strata(resolution, lambda stratum: (
-        U_MINUS_ONE ** (len(stratum.divisors) - 1)
-        * stratum.covering(sign).value))
+    return _over_strata(resolution, lambda stratum: _times_u_minus_one(
+        stratum.covering(sign).value, len(stratum.divisors) - 1))
 
 
 def dl_zeta_naive(resolution: ResolutionData) -> ZetaClosedForm:
     """Naive zeta function: per stratum, (u-1)^|I| times the ordinary class
     of the stratum, same geometric factors."""
-    return _over_strata(resolution, lambda stratum: (
-        U_MINUS_ONE ** len(stratum.divisors) * RationalU(stratum.base_class)))
+    return _over_strata(resolution, lambda stratum: _times_u_minus_one(
+        RationalU(stratum.base_class), len(stratum.divisors)))
+
+
+def _times_u_minus_one(value: RationalU, power: int) -> RationalU:
+    """value * (u-1)^power, with no product for power 0 (one divisor)."""
+    return value * U_MINUS_ONE ** power if power else value
 
 
 def _over_strata(resolution: ResolutionData, coefficient) -> ZetaClosedForm:
@@ -350,7 +362,11 @@ def check_sign_identity(resolution: ResolutionData,
                         order: int | None = None) -> SignIdentityReport:
     """For a germ the caller asserts to be nonnegative, verify that the
     naive zeta function equals (u-1) times the positive signed one, both
-    term-by-term and on expansions.
+    term-by-term and on expansions to ``order`` (default
+    ``default_expansion_order``).  Closed forms are canonical, so when the
+    two sides match term by term their expansions are equal too and are not
+    computed; the report is the same either way.  Otherwise both sides are
+    expanded and the first T-degree where they differ is reported.
 
     Precondition: the germ is nonnegative, equivalently (by curve
     selection: no arc has a negative leading coefficient) its minus zeta
@@ -370,12 +386,15 @@ def check_sign_identity(resolution: ResolutionData,
     rhs = dl_zeta_naive(resolution)
     structural = lhs == rhs
     order = default_expansion_order(resolution) if order is None else order
+    if order < 1:
+        raise ValueError("order must be positive")
     first_mismatch = None
-    for (n, left), (_, right) in zip(expand_zeta(lhs, order),
-                                     expand_zeta(rhs, order)):
-        if left != right:
-            first_mismatch = (n, left, right)
-            break
+    if not structural:  # equal closed forms have equal expansions
+        for (n, left), (_, right) in zip(expand_zeta(lhs, order),
+                                         expand_zeta(rhs, order)):
+            if left != right:
+                first_mismatch = (n, left, right)
+                break
     return SignIdentityReport(structural, first_mismatch is None, order,
                               first_mismatch)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import shutil
 import sys
 
 import pytest
@@ -242,6 +243,11 @@ USAGE_ARGV = [
     ["oracle", "3", "--order", "4", "--", "5"],
     ["oracle", "3", "--ord", "4", "--sign", "-"],
     ["zeta", "{file}", "--expand"], ["verify", "--suite", "paper", "extra"],
+    # rejected by the quiet verb parser, which must print none of it
+    ["eval"], ["homology"], ["eval", "--h"], ["eval", "--he", "point()"],
+    ["eval", "-hx"], ["oracle", "3", "--order"], ["zeta", "{file}", "--sign"],
+    ["eval", "point()", "--expand", "-1"], ["oracle", "3", "--sign", "-h"],
+    ["verify", "--su"],
 ]
 
 
@@ -268,12 +274,44 @@ def test_one_verb_parser_prints_as_the_full_one(argv, x2y4_file, capsys,
     assert built == _run_main(argv, capsys)
 
 
+#: Verb -> argv that its parser accepts whole.
+VALID_ARGV = {
+    "eval": [["point()"], ["point()", "--expand", "3"],
+             ["--expand=0", "--", "pair()"], ["--exp", "2", "point()"]],
+    "homology": [["{file}"], ["{file}", "--range=-3..2", "--series"]],
+    "zeta": [["{file}"], ["{file}", "--sign", "naive", "--expand"],
+             ["{file}", "--expand", "8", "--sign", "-"]],
+    "oracle": [["3"], ["2", "--sign", "-", "--order", "4"],
+               ["3", "--ord", "8", "--compare-dl"]],
+    "verify": [[], ["--suite", "paper"], ["--suite=all"]],
+}
+
+
 @pytest.mark.parametrize("verb", list(cli._VERBS))
-def test_verb_parser_is_the_subparser(verb):
-    subparsers = next(action for action in cli.build_parser()._actions
-                      if isinstance(action, argparse._SubParsersAction))
-    assert cli._verb_parser(verb).format_help() \
-        == subparsers.choices[verb].format_help()
+def test_verb_parser_reads_as_the_full_one(verb, x2y4_file):
+    for rest in VALID_ARGV[verb]:
+        rest = [arg.format(file=x2y4_file) for arg in rest]
+        full = vars(cli.build_parser().parse_args([verb] + rest))
+        assert full.pop("verb") == verb
+        assert vars(cli._verb_parser(verb).parse_args(rest)) == full, rest
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "point()", "--expand", "2"], ["homology", "{file}", "--series"],
+    ["zeta", "{file}", "--expand", "4"], ["oracle", "2", "--order", "4"],
+    ["verify", "--suite", "paper"]], ids=list(cli._VERBS))
+def test_valid_call_asks_for_no_help_text(argv, circle_file, x2y4_file,
+                                          monkeypatch, capsys):
+    # a quiet parser with -h builds a help action, one with the default
+    # formatter queries the terminal size, and a rejected argv builds the
+    # full parser
+    def refuse(*args, **kwargs):
+        raise AssertionError("a valid call asked for help text")
+    monkeypatch.setattr(argparse._HelpAction, "__init__", refuse)
+    monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    file = circle_file if argv[0] == "homology" else x2y4_file
+    assert main([arg.format(file=file) for arg in argv]) == 0
 
 
 def _count_parsers(monkeypatch):
@@ -298,6 +336,10 @@ def test_main_builds_only_the_named_verb(monkeypatch, capsys):
     count.clear()
     # a left-over argument is reported by the full parser
     assert main(["eval", "point()", "extra"]) == 1
+    assert len(count) == 1 + 6
+    count.clear()
+    # so is an argument the verb's parser rejects
+    assert main(["oracle", "3", "--order", "0"]) == 1
     assert len(count) == 1 + 6
 
 

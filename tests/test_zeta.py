@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from z2beta import zeta
 from z2beta.algebra import IntPoly, RationalU
 from z2beta.errors import BadGcd, MalformedInput, UnknownDivisor
 from z2beta.zeta import (
@@ -192,6 +193,12 @@ def test_term_without_factor_prints_its_coefficient_alone():
     assert str(form) == "5 + 2 * [2,1]"
     form = closed((RationalU(U + 1), ()), (RationalU(U), (A,)))
     assert str(form) == "(u + 1) + u * [2,2]"
+
+
+@pytest.mark.parametrize("terms", [[("u", ())], [(1, ()), ("u", ())]])
+def test_term_coefficient_must_be_a_value(terms):
+    with pytest.raises(TypeError):
+        ZetaClosedForm.from_terms(terms)
 
 
 def test_terms_merge_and_drop_zero():
@@ -531,6 +538,46 @@ def test_sign_identity_fails_for_sign_changing_germs():
         assert n == exponent
         assert lhs == RationalU.one()  # (u-1) * u/(u-1) * u^-1
         assert rhs == RationalU(U - 1, U)
+
+
+def _count_expansions(monkeypatch):
+    calls = []
+    expand = zeta.expand_zeta
+
+    def counting(form, order):
+        calls.append(order)
+        return expand(form, order)
+    monkeypatch.setattr(zeta, "expand_zeta", counting)
+    return calls
+
+
+@pytest.mark.parametrize("resolution", [
+    monomial_resolution(2), monomial_resolution(4), x2_plus_y4_resolution()],
+    ids=["x^2", "x^4", "x^2+y^4"])
+def test_sign_identity_expands_nothing_when_the_forms_match(resolution,
+                                                            monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    report = check_sign_identity(resolution, order=24)
+    assert report.passed and report.expansion_order == 24
+    assert report.first_mismatch is None
+    assert calls == []
+    with pytest.raises(ValueError):
+        check_sign_identity(resolution, order=0)
+
+
+@pytest.mark.parametrize("exponent", [1, 3, 5])
+def test_sign_identity_mismatch_is_the_first_differing_coefficient(
+        exponent, monkeypatch):
+    resolution = monomial_resolution(exponent)
+    lhs = dl_zeta_signed(resolution, "+").scaled(RationalU(U - 1))
+    rhs = dl_zeta_naive(resolution)
+    reference = next((n, left, right) for (n, left), (_, right)
+                     in zip(expand_zeta(lhs, 24), expand_zeta(rhs, 24))
+                     if left != right)
+    calls = _count_expansions(monkeypatch)
+    report = check_sign_identity(resolution, order=24)
+    assert report.first_mismatch == reference
+    assert not report.structural_match and calls == [24, 24]
 
 
 def test_sign_identity_detects_perturbed_input():
