@@ -40,10 +40,11 @@ sigma^2 = 1.  The total differential is built on the first homology query.
 Every rank a query needs is the rank of a suffix of the columns (homology),
 of a prefix of the rows (cohomology) or of one boundary block (plain
 homology), so each family is taken once per complex, by one Gaussian
-elimination over F2 with Python integers as bit columns, and each degree
-reads two of its ranks.  The rows are built from the faces, not by
-transposing the columns: row c holds c, sigma(c) and every cell whose
-boundary holds c.
+elimination over F2 with Python integers as bit columns.  Each family then
+gives one table of dimensions for the degrees -1 .. top + 1, the degrees
+below and above reading its ends, and each degree reads one table entry.
+The rows are built from the faces, not by transposing the columns: row c
+holds c, sigma(c) and every cell whose boundary holds c.
 """
 
 from __future__ import annotations
@@ -66,16 +67,17 @@ from .errors import (
 )
 
 #: Largest cell dimension, as ``cli.MAX_ORDER``: ``homology --series`` on a
-#: lone cell of this dimension takes about 0.02 s on a 2-CPU VM.
+#: lone cell of this dimension takes about 0.002 s on a 2-CPU VM.
 MAX_DIMENSION = 1024
 
 #: Largest cell count: on a 2-CPU VM ``equivariant_betti_series`` takes
-#: about 0.0013 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
-#: faces each, and 0.0024 s on the denser antipodal S^7 times the fixed S^7
-#: and S^3 (two cells per dimension), 2048 cells with 5 faces each.  With
-#: the bound raised, it takes 0.006 s on the sparse tower at 8192 cells,
-#: 0.009 s on a dense product at 5832 and 0.013 s on one at 8192, whose
-#: cohomology and plain homology ranks take 0.03 s more.
+#: about 0.002 s on a fresh antipodal S^3 times (S^1)^8, 2048 cells with 1.5
+#: faces each, and 0.004 s on the denser antipodal S^7 times the fixed S^7
+#: and S^3 (two cells per dimension), 2048 cells with 5 faces each; nearly
+#: all of it is the chain data and one elimination.  With the bound raised,
+#: it takes 0.013 s on the sparse tower at 8192 cells, 0.015 s on a dense
+#: product at 5832 and 0.024 s on one at 8192, whose cohomology and plain
+#: homology ranks take 0.04 s more.
 MAX_CELLS = 2048
 
 
@@ -265,9 +267,12 @@ class _ChainData:
     that of a whole block or run of blocks, so the order inside a block
     changes none.  The columns are built here, from one bit per cell, and
     each family of ranks on the first query that reads it, the rows from
-    the faces.  Only the cell order and the complex's read-only maps are
-    kept, never the complex: it holds this object, and a reference back
-    would be a cycle that only the garbage collector frees."""
+    the faces.  Each family gives one plain list of dimensions, entry
+    n + 1 for degree n = -1 .. top + 1, built on the first query that
+    reads it; every query is one read of that list.  Only the cell order
+    and the complex's read-only maps are kept, never the complex: it holds
+    this object, and a reference back would be a cycle that only the
+    garbage collector frees."""
 
     def __init__(self, x: GCWComplex):
         cells, sigma, boundary = x.cells, x.sigma, x.boundary
@@ -288,10 +293,6 @@ class _ChainData:
     def _bits(self) -> dict:
         """Cell -> its bit, ``1 << position``."""
         return {c: 1 << i for i, c in enumerate(self._order)}
-
-    def block(self, q: int) -> int:
-        """The block that degree ``q`` starts at: q clamped to 0 .. top + 1."""
-        return min(max(q, 0), len(self.start) - 1)
 
     @cached_property
     def suffix_ranks(self) -> list:
@@ -326,21 +327,48 @@ class _ChainData:
         ranks = gf2_rank(masked)
         return [ranks[e] - ranks[s] for s, e in pairwise(self.start)] + [0]
 
+    @cached_property
+    def homology_dims(self) -> list:
+        """Equivariant homology in degrees -1 .. top + 1."""
+        total = len(self.columns)
+        return [total - s0 - r0 - r1 for (s0, _), (r0, r1)
+                in zip(_degrees(self.start), _degrees(self.suffix_ranks))]
+
+    @cached_property
+    def cohomology_dims(self) -> list:
+        """Equivariant cohomology in degrees -1 .. top + 1."""
+        return [s1 - r1 - r0 for (_, s1), (r0, r1)
+                in zip(_degrees(self.start), _degrees(self.row_ranks))]
+
+    @cached_property
+    def plain_dims(self) -> list:
+        """Plain homology in degrees -1 .. top + 1."""
+        return [s1 - s0 - r0 - r1 for (s0, s1), (r0, r1)
+                in zip(_degrees(self.start), _degrees(self.boundary_ranks))]
+
+
+def _degrees(blocks: list):
+    """The pairs (blocks[b(n)], blocks[b(n + 1)]) for n = -1 .. top + 1 of a
+    list over the blocks 0 .. top + 1, where b(q) is q clamped to that
+    range: degree -1 reads block 0 twice and top + 1 the last block twice."""
+    return pairwise([blocks[0], *blocks, blocks[-1]])
+
+
+def _read(table: list, n: int) -> int:
+    """Degree n of a table over the degrees -1 .. top + 1: every degree
+    below it reads the first entry, every degree above it the last."""
+    i = n + 1
+    return table[i] if 0 <= i < len(table) else table[0 if i < 0 else -1]
+
 
 def equivariant_homology(x: GCWComplex, n: int) -> int:
     """dim over F2 of the n-th equivariant Borel-Moore homology group."""
-    data = x._chain_data()
-    lo, hi = data.block(n), data.block(n + 1)
-    ranks = data.suffix_ranks
-    return len(data.columns) - data.start[lo] - ranks[lo] - ranks[hi]
+    return _read(x._chain_data().homology_dims, n)
 
 
 def plain_homology(x: GCWComplex, n: int) -> int:
     """Ordinary cellular F2 homology dimension (the involution is ignored)."""
-    data = x._chain_data()
-    lo, mid = data.block(n), data.block(n + 1)
-    ranks = data.boundary_ranks
-    return data.start[mid] - data.start[lo] - ranks[lo] - ranks[mid]
+    return _read(x._chain_data().plain_dims, n)
 
 
 def equivariant_cohomology(x: GCWComplex, n: int) -> int:
@@ -348,12 +376,12 @@ def equivariant_cohomology(x: GCWComplex, n: int) -> int:
 
     The coboundary out of degree n is the transpose of the total
     differential from the blocks q <= n + 1 to the blocks q <= n, and has
-    its rank; valid because the accepted complexes are compact.
+    its rank; valid because the accepted complexes are compact.  It is not
+    0 above the top degree: every degree n >= top + 1 reads the total F2
+    Betti number of the fixed set (the point gives 1 in every degree
+    n >= 0).
     """
-    data = x._chain_data()
-    lo, mid = data.block(n), data.block(n + 1)
-    ranks = data.row_ranks
-    return data.start[mid] - ranks[mid] - ranks[lo]
+    return _read(x._chain_data().cohomology_dims, n)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +399,8 @@ class HomologyResult(NamedTuple):
 def homology_table(x: GCWComplex, n_min: int, n_max: int) -> HomologyResult:
     if n_min > n_max:
         raise ToolkitError(f"empty degree range {n_min}..{n_max}")
-    dims = {n: equivariant_homology(x, n) for n in range(n_max, n_min - 1, -1)}
+    table = x._chain_data().homology_dims
+    dims = {n: _read(table, n) for n in range(n_max, n_min - 1, -1)}
     stable = dims[n_min] if n_min <= -2 and n_min < n_max else None
     return HomologyResult(dims, stable)
 
@@ -401,9 +430,10 @@ def equivariant_betti_series(x: GCWComplex) -> VirtualClass:
     is the dimension of H_{-1}, shared by every degree below zero (the
     homology of the fixed set).
     """
-    top = max(x.top_dimension, 0)
-    dims = {n: equivariant_homology(x, n) for n in range(top, -2, -1)}
-    tail = dims.pop(-1)
+    table = x._chain_data().homology_dims
+    top = max(len(table) - 3, 0)  # the table holds degrees -1 .. top + 1
+    tail = table[0]
+    dims = dict(zip(range(top, -1, -1), table[top + 1:0:-1]))
     dims[0] -= tail
     return VirtualClass(IntPoly(dims), tail)
 

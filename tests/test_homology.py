@@ -169,6 +169,33 @@ def test_negative_tail_ranked_once(monkeypatch):
     assert calls == [len(cw.cells)]
 
 
+def test_every_table_ranked_once(monkeypatch):
+    # each family is one elimination, and its table is built once from it
+    calls, built = [], []
+    real = homology.gf2_rank
+
+    def counting(columns):
+        calls.append(len(columns))
+        return real(columns)
+
+    class CountingChainData(homology._ChainData):
+        def __init__(self, x):
+            built.append(x)
+            super().__init__(x)
+
+    monkeypatch.setattr(homology, "gf2_rank", counting)
+    monkeypatch.setattr(homology, "_ChainData", CountingChainData)
+    cw = product_with_trivial(sphere_complex(2, "antipodal"),
+                              sphere_complex(1, "trivial"))
+    top = cw.top_dimension
+    for _ in range(2):
+        for n in range(-5, top + 6):
+            equivariant_homology(cw, n)
+            equivariant_cohomology(cw, n)
+            plain_homology(cw, n)
+    assert calls == [len(cw.cells)] * 3 and built == [cw]
+
+
 def test_chain_data_leaves_no_cycle():
     # the chain data keeps the complex's maps, never the complex that holds
     # it, so the complex and its ranks are freed by reference counting
@@ -179,6 +206,7 @@ def test_chain_data_leaves_no_cycle():
                                   sphere_complex(1, "trivial"))
         data = cw._chain_data()
         data.suffix_ranks, data.row_ranks, data.boundary_ranks
+        data.homology_dims, data.cohomology_dims, data.plain_dims
         del cw, data
         assert gc.collect() == 0
     finally:

@@ -20,7 +20,9 @@ The same draws, the bases themselves and two larger complexes also check
 the ranks each complex computes once against one elimination per query
 over the slices of the total differential that the degree uses, and
 against the previous chain-data builder, and that the total differential
-squares to zero.
+squares to zero.  On the draws, homology tables and series equal
+per-degree reads, and equivariant cohomology above the top degree is the
+total Betti number of the fixed set (localization again).
 """
 
 from itertools import accumulate, pairwise
@@ -28,6 +30,8 @@ from itertools import accumulate, pairwise
 import pytest
 
 from conftest import assert_squares_to_zero
+from z2beta.algebra import IntPoly
+from z2beta.calculus import VirtualClass
 from z2beta.complexes import sphere_complex
 from z2beta.homology import (
     GCWComplex,
@@ -36,6 +40,7 @@ from z2beta.homology import (
     equivariant_homology,
     fixed_subcomplex,
     gf2_rank,
+    homology_table,
     plain_homology,
     product_with_trivial,
 )
@@ -184,7 +189,9 @@ def assert_dims_match_per_query(x: GCWComplex):
     data = x._chain_data()
     assert (data.suffix_ranks, data.row_ranks,
             data.boundary_ranks) == reference_ranks(x)
-    for n in range(-3, x.top_dimension + 3):
+    top = x.top_dimension
+    # far outside the complex too, so both ends of each table are read
+    for n in [-50, -top - 3, *range(-3, top + 3), top + 3, top + 50]:
         assert (equivariant_homology(x, n), plain_homology(x, n),
                 equivariant_cohomology(x, n)) == per_query_dims(x, n), n
 
@@ -193,6 +200,36 @@ def assert_dims_match_per_query(x: GCWComplex):
 @hypothesis.given(subcomplexes(BASES))
 def test_dims_match_per_query_elimination(x):
     assert_dims_match_per_query(x)
+
+
+@SETTINGS
+@hypothesis.given(subcomplexes(BASES), st.integers(-8, 8), st.integers(0, 8))
+def test_table_and_series_equal_per_degree_reads(x, n_min, span):
+    n_max = n_min + span
+    reads = {n: equivariant_homology(x, n)
+             for n in range(n_max, n_min - 1, -1)}
+    table = homology_table(x, n_min, n_max)
+    assert list(table.group_dims.items()) == list(reads.items())
+    assert table.stable_negative_dim == (
+        reads[n_min] if n_min <= -2 and n_min < n_max else None)
+    # the series as it was built from one read per degree
+    top = max(x.top_dimension, 0)
+    dims = {n: equivariant_homology(x, n) for n in range(top, -2, -1)}
+    tail = dims.pop(-1)
+    dims[0] -= tail
+    assert equivariant_betti_series(x) == VirtualClass(IntPoly(dims), tail)
+
+
+@SETTINGS
+@hypothesis.given(subcomplexes(BASES))
+def test_cohomology_above_top_is_fixed_set_homology(x):
+    # not 0 above the top degree: every degree from top + 1 on reads the
+    # total Betti number of the fixed set, which a fixed cell makes nonzero
+    top = x.top_dimension
+    fixed = total_betti(fixed_subcomplex(x))
+    assert [equivariant_cohomology(x, n)
+            for n in (top + 1, top + 2, top + 3, top + 50)] == [fixed] * 4
+    assert (fixed > 0) == any(x.sigma[c] == c for c in x.cells)
 
 
 def test_dims_match_per_query_elimination_on_bases():
