@@ -109,9 +109,9 @@ def _parse_range(text: str):
         n_min, n_max = _ascii_int(low), _ascii_int(high)
     except ValueError as exc:
         raise ToolkitError(f"bad range {text!r}: {exc}") from exc
-    if not 0 <= n_max - n_min <= MAX_ORDER:
+    if not 0 <= n_max - n_min <= homology.MAX_DEGREE_SPAN:
         raise ToolkitError(f"bad range {text!r}, expected NMIN <= NMAX "
-                           f"<= NMIN + {MAX_ORDER}")
+                           f"<= NMIN + {homology.MAX_DEGREE_SPAN}")
     return n_min, n_max
 
 
@@ -170,10 +170,11 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-#: Upper bound of N, ``--order``, ``--expand`` and the span NMAX - NMIN of
-#: ``homology --range``, checked before any work: at this size ``oracle N
-#: --order 1024 --compare-dl`` takes at most about 0.05 s in-process (N = 1;
-#: 0.03 s for N = 3 on a 2-CPU VM).
+#: Upper bound of N, ``--order`` and ``--expand``, checked before any work:
+#: at this size ``oracle N --order 1024 --compare-dl`` takes at most about
+#: 0.05 s in-process (N = 1; 0.03 s for N = 3 on a 2-CPU VM).  The span
+#: NMAX - NMIN of ``homology --range`` is bounded by
+#: ``homology.MAX_DEGREE_SPAN``.
 MAX_ORDER = 1024
 
 

@@ -30,13 +30,19 @@ blocks C_0 .. C_top, so the differentials in and out are the same matrices:
 H_{-1} is the whole negative tail, exactly, with no stabilisation window.
 
 A GCWComplex is immutable and its constructor runs ``validate_complex``,
-so each complex is validated once.  The invariants it checks are also what
-makes the total differential D = boundary + (1 + sigma) square to zero:
+so each complex is validated once.  It checks on ids that every face and
+every sigma image is a cell of the right dimension and that sigma is an
+involution.  Then it builds the total differential D = boundary +
+(1 + sigma) and checks on its columns that D squares to zero, one column
+at a time:
 
-    D^2 = boundary^2 + (boundary sigma + sigma boundary) + (1 + sigma)^2 = 0
+    D^2 = boundary^2 + (boundary sigma + sigma boundary) + (1 + sigma)^2
 
-over F2, since boundary^2 = 0, sigma commutes with the boundary and
-sigma^2 = 1.  The total differential is built on the first homology query.
+over F2, where (1 + sigma)^2 = 0 as sigma^2 = 1.  On a q-cell the first
+term lies in the rows of dimension q - 2 and the second in those of
+dimension q - 1, so D^2 = 0 holds exactly when boundary^2 = 0 and sigma
+commutes with the boundary, and the rows of a nonzero column of D^2 say
+which fails.  A valid complex keeps the total differential it was checked on.
 Every rank a query needs is the rank of a suffix of the columns (homology),
 of a prefix of the rows (cohomology) or of one boundary block (plain
 homology), so each family is taken once per complex, by one Gaussian
@@ -70,15 +76,23 @@ from .errors import (
 #: lone cell of this dimension takes about 0.002 s on a 2-CPU VM.
 MAX_DIMENSION = 1024
 
-#: Largest cell count: on a 2-CPU VM ``equivariant_betti_series`` takes
-#: about 0.002 s on a fresh antipodal S^3 times (S^1)^8, 2048 cells with 1.5
-#: faces each, and 0.004 s on the denser antipodal S^7 times the fixed S^7
-#: and S^3 (two cells per dimension), 2048 cells with 5 faces each; nearly
-#: all of it is the chain data and one elimination.  With the bound raised,
-#: it takes 0.013 s on the sparse tower at 8192 cells, 0.015 s on a dense
-#: product at 5832 and 0.024 s on one at 8192, whose cohomology and plain
-#: homology ranks take 0.04 s more.
+#: Largest cell count: on a 2-CPU VM, building a complex from its cell,
+#: face and sigma lists and taking its ``equivariant_betti_series`` takes
+#: about 0.005 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
+#: faces each, and 0.011 s on the denser antipodal S^7 times the fixed S^7
+#: and S^3 (two cells per dimension), 2048 cells with 5 faces each (medians
+#: of 21); nearly all of it is the construction, which validates on the
+#: total differential it builds.  With the bound raised, it takes 0.030 s
+#: on the sparse tower at 8192 cells and 0.060 s on the antipodal S^7 times
+#: the fixed S^7 and S^15 at 8192, whose cohomology and plain homology
+#: ranks take 0.036 s more.
 MAX_CELLS = 2048
+
+#: Largest span n_max - n_min of a ``homology_table``, and of ``homology
+#: --range``, checked before any work.  A longer table is accepted only up
+#: to the span of -5 .. top + 1, the default table of ``homology``, which
+#: is longer for a complex of top dimension above 1018.
+MAX_DEGREE_SPAN = 1024
 
 
 class GCWComplex:
@@ -91,7 +105,9 @@ class GCWComplex:
     entries mean fixed cells); all three are read-only mappings.
     ``fixed_is_geometric`` is a caller assertion that the sigma-fixed cells
     model the geometric fixed set.
-    The constructor raises InvalidComplex naming every violated invariant.
+    The constructor raises InvalidComplex naming every violated invariant,
+    and a complex keeps the total differential that ``validate_complex``
+    builds while it checks.
     """
 
     __slots__ = ("cells", "boundary", "sigma", "fixed_is_geometric", "_chains")
@@ -187,14 +203,18 @@ class GCWComplex:
         return max(self.cells.values(), default=-1)
 
     def _chain_data(self) -> "_ChainData":
-        """The total differential, built on the first homology query."""
-        if self._chains is None:
-            object.__setattr__(self, "_chains", _ChainData(self))
+        """The total differential, built by ``validate_complex``."""
         return self._chains
 
 
 def validate_complex(x: GCWComplex) -> list:
-    """Every violated invariant with the offending cells; empty means valid."""
+    """Every violated invariant with the offending cells; empty means valid.
+
+    Faces and sigma images are checked on ids.  When they are all cells of
+    the right dimension and sigma is an involution, the chain data of
+    ``x`` is built, and boundary^2 = 0 and sigma commuting with the
+    boundary are checked on its columns.  A complex under construction
+    keeps that chain data if both hold; a constructed one keeps its own."""
     report = []
     for a, b in x.sigma.items():
         if a not in x.cells:
@@ -220,17 +240,29 @@ def validate_complex(x: GCWComplex) -> list:
                               f"{x.cells[f]}, expected {x.cells[cell] - 1}")
     if report:
         return report  # structural breakage; skip the algebraic checks
-    for cell in x.cells:
-        # d(d(cell)) = 0 over F2
-        second = set()
-        for f in x.boundary.get(cell, ()):
-            second.symmetric_difference_update(x.boundary.get(f, ()))
-        if second:
-            report.append(f"boundary of boundary of {cell!r} is {sorted(second)}")
-        # sigma commutes with the boundary
-        mapped = {x.sigma[f] for f in x.boundary.get(cell, ())}
-        if mapped != set(x.boundary.get(x.sigma[cell], ())):
-            report.append(f"sigma does not commute with boundary at {cell!r}")
+    # D(D(cell)), the XOR of the columns of cell, sigma(cell) and its
+    # faces, is boundary(boundary(cell)) in the rows of dimension q - 2
+    # plus boundary(sigma(cell)) + sigma(boundary(cell)) in those of
+    # dimension q - 1, for a q-cell: (1 + sigma)^2 = 0 as sigma^2 = 1
+    chains = _ChainData(x)
+    order, start = chains._order, chains.start
+    column = dict(zip(order, chains.columns))
+    sigma, boundary = x.sigma, x.boundary
+    for cell, q in x.cells.items():
+        square = column[cell] ^ column[sigma[cell]]
+        for f in boundary.get(cell, ()):
+            square ^= column[f]
+        if square:
+            low = start[q - 1]
+            second = square & ((1 << low) - 1)
+            if second:
+                ids = sorted(order[i] for i in range(low) if second >> i & 1)
+                report.append(f"boundary of boundary of {cell!r} is {ids}")
+            if square >> low:
+                report.append(
+                    f"sigma does not commute with boundary at {cell!r}")
+    if not report and x._chains is None:
+        object.__setattr__(x, "_chains", chains)
     return report
 
 
@@ -265,9 +297,11 @@ class _ChainData:
     (1 + sigma)(cell i).  ``start[q]`` is the position of the first cell of
     dimension q, and ``start[top + 1]`` the cell count.  Every rank read is
     that of a whole block or run of blocks, so the order inside a block
-    changes none.  The columns are built here, from one bit per cell, and
-    each family of ranks on the first query that reads it, the rows from
-    the faces.  Each family gives one plain list of dimensions, entry
+    changes none.  ``validate_complex`` builds this object once the
+    structural checks pass, and checks D(D(cell)) = 0 on its columns.  The
+    columns are built here, from one bit per cell, and each family of ranks
+    on the first query that reads it, the rows from the faces.  Each family
+    gives one plain list of dimensions, entry
     n + 1 for degree n = -1 .. top + 1, built on the first query that
     reads it; every query is one read of that list.  Only the cell order
     and the complex's read-only maps are kept, never the complex: it holds
@@ -399,6 +433,11 @@ class HomologyResult(NamedTuple):
 def homology_table(x: GCWComplex, n_min: int, n_max: int) -> HomologyResult:
     if n_min > n_max:
         raise ToolkitError(f"empty degree range {n_min}..{n_max}")
+    if n_max - n_min > MAX_DEGREE_SPAN:
+        limit = max(MAX_DEGREE_SPAN, x.top_dimension + 6)  # -5 .. top + 1
+        if n_max - n_min > limit:
+            raise ToolkitError(f"degree range {n_min}..{n_max} spans more "
+                               f"than {limit} degrees")
     table = x._chain_data().homology_dims
     dims = {n: _read(table, n) for n in range(n_max, n_min - 1, -1)}
     stable = dims[n_min] if n_min <= -2 and n_min < n_max else None

@@ -2,6 +2,8 @@
 
 import pytest
 
+import z2beta.homology as homology
+from z2beta.errors import ToolkitError
 from z2beta.verify import run_suite
 
 
@@ -24,3 +26,52 @@ def assert_squares_to_zero(x):
             col >>= 1
             j += 1
         assert image == 0, f"D(D e_{i}) != 0"
+
+
+def reference_report(x):
+    """Reference for the algebraic checks of ``validate_complex``, on sets of
+    ids: boundary^2 = 0 and sigma commuting with the boundary, cell by cell
+    in the complex's order.  It needs the structural checks passed: every
+    face and sigma image a cell, and sigma an involution."""
+    report = []
+    for cell in x.cells:
+        # d(d(cell)) = 0 over F2
+        second = set()
+        for f in x.boundary.get(cell, ()):
+            second.symmetric_difference_update(x.boundary.get(f, ()))
+        if second:
+            report.append(f"boundary of boundary of {cell!r} is {sorted(second)}")
+        # sigma commutes with the boundary
+        mapped = {x.sigma[f] for f in x.boundary.get(cell, ())}
+        if mapped != set(x.boundary.get(x.sigma[cell], ())):
+            report.append(f"sigma does not commute with boundary at {cell!r}")
+    return report
+
+
+def build_against_reference(build, *args):
+    """``build(*args)``, which constructs one complex, or None if it raises
+    a ToolkitError; and whether the structural checks passed, so that
+    ``validate_complex`` built the chain data.  If they did, its report
+    must be ``reference_report`` string for string, in the same order, and
+    the complex is refused with exactly that report or accepted when it is
+    empty."""
+    reached = []
+
+    class Recording(homology._ChainData):
+        def __init__(self, x):
+            super().__init__(x)
+            reached.append(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homology, "_ChainData", Recording)
+        try:
+            built, message = build(*args), None
+        except ToolkitError as exc:
+            built, message = None, str(exc)
+    if reached:
+        [x] = reached
+        expected = reference_report(x)
+        assert homology.validate_complex(x) == expected
+        assert message == ("invalid complex: " + "; ".join(expected)
+                           if expected else None)
+    return built, bool(reached)

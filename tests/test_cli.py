@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from z2beta import cli
+from z2beta import cli, homology
 from z2beta.algebra import IntPoly, RationalU, laurent_expand
 from z2beta.calculus import Atom, atom_class
 from z2beta.cli import format_class, format_output, format_window, main
@@ -195,6 +195,17 @@ def test_homology_invalid_file(tmp_path, capsys):
     }), encoding="utf-8")
     assert main(["homology", str(path)]) == 1
     assert "invalid" in capsys.readouterr().err
+
+
+def test_range_span_is_the_library_bound(tmp_path, capsys, monkeypatch):
+    # ``homology --range`` refuses what ``homology_table`` would refuse
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(POINT), encoding="utf-8")
+    monkeypatch.setattr(homology, "MAX_DEGREE_SPAN", 3)
+    assert main(["homology", str(path), "--range=0..3"]) == 0
+    assert main(["homology", str(path), "--range=0..4"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: bad range '0..4', expected NMIN <= NMAX <= NMIN + 3\n")
 
 
 def test_oracle_coefficients(capsys):

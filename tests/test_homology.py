@@ -22,6 +22,7 @@ from z2beta.errors import (
 import z2beta.homology as homology
 from z2beta.homology import (
     MAX_CELLS,
+    MAX_DEGREE_SPAN,
     MAX_DIMENSION,
     GCWComplex,
     equivariant_betti_series,
@@ -142,12 +143,13 @@ def test_validated_and_indexed_once_per_complex(monkeypatch):
     monkeypatch.setattr(homology, "validate_complex", counting)
     monkeypatch.setattr(homology, "_ChainData", CountingChainData)
     cw = sphere_complex(2, "antipodal")
-    assert built == []  # the chain data waits for the first query
+    # the constructor validates on the chain data it builds and keeps
+    assert calls == [cw] and built == [cw]
     homology_table(cw, -3, 3)
     equivariant_betti_series(cw)
     equivariant_cohomology(cw, 1)
     plain_homology(cw, 1)
-    assert calls == [cw] and built == [cw]
+    assert calls == [cw] and built == [cw]  # no query builds another
 
 
 def test_negative_tail_ranked_once(monkeypatch):
@@ -183,10 +185,11 @@ def test_every_table_ranked_once(monkeypatch):
             built.append(x)
             super().__init__(x)
 
+    # the factors, built first, have their own chain data
+    x, y = sphere_complex(2, "antipodal"), sphere_complex(1, "trivial")
     monkeypatch.setattr(homology, "gf2_rank", counting)
     monkeypatch.setattr(homology, "_ChainData", CountingChainData)
-    cw = product_with_trivial(sphere_complex(2, "antipodal"),
-                              sphere_complex(1, "trivial"))
+    cw = product_with_trivial(x, y)
     top = cw.top_dimension
     for _ in range(2):
         for n in range(-5, top + 6):
@@ -213,6 +216,23 @@ def test_chain_data_leaves_no_cycle():
         gc.enable()
 
 
+def test_refused_complex_leaves_no_cycle():
+    # the chain data built for a complex that fails the algebraic checks is
+    # dropped with the complex, by reference counting
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            GCWComplex({"v": 0, "e": 1, "f": 2},
+                       boundary={"f": ["e"], "e": ["v"]})
+        except InvalidComplex as exc:
+            message = str(exc)
+        assert message.startswith("invalid complex: boundary of boundary")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_complex_is_immutable():
     cw = sphere_complex(1, "antipodal")
     for name in ("cells", "boundary", "sigma"):
@@ -223,6 +243,15 @@ def test_complex_is_immutable():
     with pytest.raises(AttributeError):
         cw.fixed_is_geometric = False
     assert validate_complex(cw) == []
+
+
+def test_validating_again_keeps_the_chain_data():
+    cw = sphere_complex(2, "antipodal")
+    chains = cw._chain_data()
+    assert equivariant_homology(cw, 1) == 1
+    assert validate_complex(cw) == []
+    # the complex keeps its chain data and the rank family it took
+    assert cw._chain_data() is chains and "homology_dims" in vars(chains)
 
 
 def test_boundary_reduced_mod_two():
@@ -247,6 +276,25 @@ def test_homology_table_ranges():
     for n_min, n_max in [(-2, -5), (3, 1)]:
         with pytest.raises(ToolkitError):
             homology_table(s2, n_min, n_max)
+
+
+def test_homology_table_span_bound():
+    s2 = sphere_complex(2, "trivial")
+    table = homology_table(s2, -600, -600 + MAX_DEGREE_SPAN)
+    assert len(table.group_dims) == MAX_DEGREE_SPAN + 1
+    fresh = sphere_complex(2, "trivial")
+    for n_min, n_max in [(-600, -599 + MAX_DEGREE_SPAN), (0, 10 ** 9)]:
+        with pytest.raises(ToolkitError, match="spans more than 1024 degrees"):
+            homology_table(fresh, n_min, n_max)
+    # refused before any work: no rank family was taken
+    assert "homology_dims" not in vars(fresh._chain_data())
+    # the default table of ``homology``, -5 .. top + 1, is longer at the
+    # largest dimension, and accepted
+    top = GCWComplex({"v": MAX_DIMENSION})
+    table = homology_table(top, -5, MAX_DIMENSION + 1)
+    assert len(table.group_dims) == MAX_DIMENSION + 7
+    with pytest.raises(ToolkitError, match="spans more than 1030 degrees"):
+        homology_table(top, -6, MAX_DIMENSION + 1)
 
 
 # ---------------------------------------------------------------------------

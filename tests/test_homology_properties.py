@@ -22,14 +22,16 @@ over the slices of the total differential that the degree uses, and
 against the previous chain-data builder, and that the total differential
 squares to zero.  On the draws, homology tables and series equal
 per-degree reads, and equivariant cohomology above the top degree is the
-total Betti number of the fixed set (localization again).
+total Betti number of the fixed set (localization again).  Tampered bases,
+with one face flipped or the involution redirected, are judged as the
+set-based reference of the algebraic checks judges them.
 """
 
 from itertools import accumulate, pairwise
 
 import pytest
 
-from conftest import assert_squares_to_zero
+from conftest import assert_squares_to_zero, build_against_reference
 from z2beta.algebra import IntPoly
 from z2beta.calculus import VirtualClass
 from z2beta.complexes import sphere_complex
@@ -98,6 +100,35 @@ def subcomplexes(draw, bases):
                       fixed_is_geometric=True)
 
 
+@st.composite
+def tampered(draw, bases):
+    """The cells, in any order, boundary and involution of a base with one
+    face of a cell flipped or with sigma conjugated by a swap of two cells
+    of one dimension.  Either keeps every face and sigma image a cell of the
+    right dimension and sigma an involution, so only boundary^2 = 0 and
+    sigma commuting with the boundary can fail."""
+    base = draw(st.sampled_from(bases))
+    cells = {c: base.cells[c] for c in draw(st.permutations(list(base.cells)))}
+    boundary = {c: set(faces) for c, faces in base.boundary.items()}
+    if draw(st.booleans()):
+        cell = draw(st.sampled_from(sorted(c for c in cells if cells[c] > 0)))
+        face = draw(st.sampled_from(sorted(
+            c for c in cells if cells[c] == cells[cell] - 1)))
+        boundary.setdefault(cell, set()).symmetric_difference_update({face})
+        sigma = dict(base.sigma)
+    else:
+        a = draw(st.sampled_from(sorted(cells)))
+        b = draw(st.sampled_from(sorted(
+            c for c in cells if cells[c] == cells[a])))
+        swap = {a: b, b: a}
+
+        def t(c):
+            return swap.get(c, c)
+
+        sigma = {c: t(base.sigma[t(c)]) for c in cells}
+    return cells, boundary, sigma
+
+
 def total_betti(x: GCWComplex) -> int:
     return sum(plain_homology(x, n) for n in range(x.top_dimension + 1))
 
@@ -126,6 +157,13 @@ def test_free_action_equals_orbit_complex_homology(x):
     quotient = orbit_complex(x)
     for n in range(-2, x.top_dimension + 2):
         assert equivariant_homology(x, n) == plain_homology(quotient, n), n
+
+
+@SETTINGS
+@hypothesis.given(tampered(BASES))
+def test_validation_matches_set_based_reference(data):
+    _, checked = build_against_reference(GCWComplex, *data)
+    assert checked
 
 
 def _masked_rank(columns, end):
