@@ -106,17 +106,12 @@ class VirtualClass:
 
 def _series(poly: IntPoly, tail: int) -> RationalU:
     # P + c*u/(u-1) = (P*(u-1) + c*u)/(u-1), in lowest terms for c != 0
-    # because the numerator is c at u = 1.  One pass over the terms of P:
-    # the u^e coefficient of the numerator is p_(e-1) - p_e, plus c at e = 1
+    # because the numerator is c at u = 1
     if not tail:
         return RationalU._coprime(poly, IntPoly.one())
-    num = {1: tail}
-    for e, p in poly.coefficients.items():
-        num[e + 1] = num.get(e + 1, 0) + p
-        num[e] = num.get(e, 0) - p
-    return RationalU._coprime(IntPoly._trusted({e: c for e, c in num.items()
-                                                if c}),
-                              U_MINUS_ONE.numerator)
+    u_minus_one = U_MINUS_ONE.numerator
+    return RationalU._coprime(poly * u_minus_one + IntPoly.monomial(1, tail),
+                              u_minus_one)
 
 
 def union_disjoint(a: VirtualClass, b: VirtualClass) -> VirtualClass:
@@ -139,16 +134,8 @@ def affine_product(a: VirtualClass, d: int) -> VirtualClass:
         raise InvalidAtom(f"affine dimension must be >= 0, got {d}")
     if d == 0:
         return a
-    # one dict: c on u^1..u^d, then P shifted by d on top
-    c = a.fixed_tail
-    poly = dict.fromkeys(range(1, d + 1), c) if c else {}
-    for e, p in a.poly_part.coefficients.items():
-        total = poly.get(e + d, 0) + p
-        if total:
-            poly[e + d] = total
-        else:
-            del poly[e + d]
-    return VirtualClass(IntPoly._trusted(poly), c)
+    poly = a.poly_part.shift(d) + a.fixed_tail * IntPoly.geometric_sum(1, d)
+    return VirtualClass(poly, a.fixed_tail)
 
 
 def trivial_lift(beta_poly: IntPoly, allow_negative: bool = False) -> VirtualClass:

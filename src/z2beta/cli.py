@@ -5,16 +5,13 @@ Verbs: ``eval`` (expression language), ``homology`` (G-CW file), ``zeta``
 suites).  Results go to stdout, diagnostics to stderr; exit status is 0 on
 success, 1 on input or validation errors, 2 when a verification check fails.
 
-``main`` parses a verb's arguments with a quiet parser of that verb alone,
-built afresh on each call.  It has no ``-h`` and prints nothing: it only
-answers an argv that it accepts whole, so a valid call builds no help action
-and asks for no terminal size.  Every other argv (an error, a help request,
-a left-over argument, no verb) goes to the full parser, which owns all
-printed help, usage and error text.  No parser is kept between calls: that
-is faster still, but raised the benchmark's ``cli_session`` ``peak_rss_mb``
-from 28.09 to 32.34 MB, and a parse of almost no cost read +13% there, with
-gen-0 collections per pass 11.87 -> 5.47 (less garbage per pass delays the
-full collections that free its re-imports).
+``main`` parses each argv once, with a parser of its verb alone built
+afresh on each call; it prints that verb's help and errors itself.  Only
+an argv without a verb, or one whose verb parser leaves an argument over,
+goes to the full parser of every verb, which reports it in argparse's own
+words.  All help and usage text wraps at 78 columns, the width argparse
+uses when there is no terminal, so it is the same bytes under every
+terminal width and no parse asks for the terminal size.
 """
 
 from __future__ import annotations
@@ -201,6 +198,11 @@ def _int_at_least(low: int):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # subparsers are built as this class too
+        # the width argparse takes with no terminal, so none is asked for
+        super().__init__(formatter_class=functools.partial(
+            argparse.HelpFormatter, width=78), **kwargs)
+
     def error(self, message):  # usage problems are input errors: exit 1
         self.print_usage(sys.stderr)
         raise ToolkitError(message)
@@ -255,23 +257,10 @@ _VERBS = {"eval": ("evaluate a class expression", _add_eval),
           "verify": ("run the built-in check suites", _add_verify)}
 
 
-class _Rejected(Exception):
-    """An argv that the quiet verb parser does not accept whole."""
-
-
-class _QuietParser(_Parser):
-    def error(self, message):  # the full parser reports it
-        raise _Rejected
-
-
 def _verb_parser(verb: str) -> argparse.ArgumentParser:
-    """The arguments of ``verb`` alone, as ``build_parser`` adds them, but
-    quiet: no ``-h``, and an error raises ``_Rejected`` instead of printing.
-    It never prints, so its formatter has a fixed width and no terminal is
-    queried; the full parser owns all printed text."""
-    parser = _QuietParser(prog=f"z2beta {verb}", add_help=False,
-                          formatter_class=functools.partial(
-                              argparse.HelpFormatter, width=80))
+    """The parser of ``verb`` alone, the same as its subparser in
+    ``build_parser``, so its help and errors print the same bytes."""
+    parser = _Parser(prog=f"z2beta {verb}")
     _VERBS[verb][1](parser)
     return parser
 
@@ -287,13 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(argv):
-    """Parse argv with its verb's quiet parser, or with the full one if the
-    quiet parser rejects it or leaves any argument over."""
+    """Parse argv with its verb's parser; the full parser reports an argv
+    without a verb, and an argument that the verb's parser leaves over."""
     if argv and argv[0] in _VERBS:
-        try:
-            args, extra = _verb_parser(argv[0]).parse_known_args(argv[1:])
-        except _Rejected:
-            extra = True
+        args, extra = _verb_parser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             return args
     return build_parser().parse_args(argv)

@@ -89,10 +89,9 @@ MAX_DIMENSION = 1024
 MAX_CELLS = 2048
 
 #: Largest span n_max - n_min of a ``homology_table``, and of ``homology
-#: --range``, checked before any work.  A longer table is accepted only up
-#: to the span of -5 .. top + 1, the default table of ``homology``, which
-#: is longer for a complex of top dimension above 1018.
-MAX_DEGREE_SPAN = 1024
+#: --range``, checked before any work: the span of -5 .. top + 1, the
+#: default table of ``homology``, at the largest dimension.
+MAX_DEGREE_SPAN = MAX_DIMENSION + 6
 
 
 class GCWComplex:
@@ -210,11 +209,12 @@ class GCWComplex:
 def validate_complex(x: GCWComplex) -> list:
     """Every violated invariant with the offending cells; empty means valid.
 
-    Faces and sigma images are checked on ids.  When they are all cells of
-    the right dimension and sigma is an involution, the chain data of
-    ``x`` is built, and boundary^2 = 0 and sigma commuting with the
-    boundary are checked on its columns.  A complex under construction
-    keeps that chain data if both hold; a constructed one keeps its own."""
+    Faces and sigma images are checked on ids, the bad faces of a cell
+    named in sorted order.  When they are all cells of the right
+    dimension and sigma is an involution, the chain data of ``x`` is
+    built, and boundary^2 = 0 and sigma commuting with the boundary are
+    checked on its columns.  A complex under construction keeps that
+    chain data if both hold; a constructed one keeps its own."""
     report = []
     for a, b in x.sigma.items():
         if a not in x.cells:
@@ -228,16 +228,23 @@ def validate_complex(x: GCWComplex) -> list:
                           f"{x.cells[a]} -> {x.cells[b]}")
         if x.sigma.get(b) != a:
             report.append(f"sigma is not an involution at {a!r}")
+    cells = x.cells
     for cell, faces in x.boundary.items():
-        if cell not in x.cells:
+        if cell not in cells:
             report.append(f"boundary defined on unknown cell {cell!r}")
             continue
+        below = cells[cell] - 1
         for f in faces:
-            if f not in x.cells:
+            if cells.get(f) != below:
+                break
+        else:
+            continue  # the valid path: no sort
+        for f in sorted(faces):  # not in hash order, which varies by run
+            if f not in cells:
                 report.append(f"boundary of {cell!r} hits unknown cell {f!r}")
-            elif x.cells[f] != x.cells[cell] - 1:
+            elif cells[f] != below:
                 report.append(f"boundary of {cell!r} hits {f!r} of dimension "
-                              f"{x.cells[f]}, expected {x.cells[cell] - 1}")
+                              f"{cells[f]}, expected {below}")
     if report:
         return report  # structural breakage; skip the algebraic checks
     # D(D(cell)), the XOR of the columns of cell, sigma(cell) and its
@@ -434,10 +441,8 @@ def homology_table(x: GCWComplex, n_min: int, n_max: int) -> HomologyResult:
     if n_min > n_max:
         raise ToolkitError(f"empty degree range {n_min}..{n_max}")
     if n_max - n_min > MAX_DEGREE_SPAN:
-        limit = max(MAX_DEGREE_SPAN, x.top_dimension + 6)  # -5 .. top + 1
-        if n_max - n_min > limit:
-            raise ToolkitError(f"degree range {n_min}..{n_max} spans more "
-                               f"than {limit} degrees")
+        raise ToolkitError(f"degree range {n_min}..{n_max} spans more "
+                           f"than {MAX_DEGREE_SPAN} degrees")
     table = x._chain_data().homology_dims
     dims = {n: _read(table, n) for n in range(n_max, n_min - 1, -1)}
     stable = dims[n_min] if n_min <= -2 and n_min < n_max else None
@@ -450,7 +455,7 @@ def fixed_subcomplex(x: GCWComplex) -> GCWComplex:
         raise AssertionMissing(
             "fixed_subcomplex requires the fixed_is_geometric assertion")
     fixed = {c for c, image in x.sigma.items() if c == image}
-    for cell in fixed:
+    for cell in sorted(fixed):  # not in hash order, which varies by run
         stray = set(x.boundary.get(cell, ())) - fixed
         if stray:
             raise FixedSetNotSubcomplex(

@@ -152,7 +152,7 @@ def load_resolution(source) -> ResolutionData:
         if len(ids) < len(entry["I"]):  # a set would merge the repeats
             raise MalformedInput(
                 f"stratum {entry['I']!r} repeats a divisor id")
-        for i in ids:
+        for i in map(str, entry["I"]):  # in the order of I, not hash order
             if i not in by_id:
                 raise UnknownDivisor(f"stratum references unknown divisor {i!r}")
         if ids in seen_sets:

@@ -1,9 +1,11 @@
 """The command line front end: output formats and exit codes."""
 
-import argparse
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,7 +200,15 @@ def test_homology_invalid_file(tmp_path, capsys):
 
 
 def test_range_span_is_the_library_bound(tmp_path, capsys, monkeypatch):
-    # ``homology --range`` refuses what ``homology_table`` would refuse
+    # ``homology --range`` refuses what ``homology_table`` would refuse,
+    # and accepts the default table at the largest dimension
+    top = tmp_path / "top.json"
+    top.write_text(json.dumps({"cells": [{"id": "v", "dim": 1024}]}),
+                   encoding="utf-8")
+    assert main(["homology", str(top)]) == 0
+    default = capsys.readouterr().out
+    assert main(["homology", str(top), "--range=-5..1025"]) == 0
+    assert capsys.readouterr().out == default
     path = tmp_path / "point.json"
     path.write_text(json.dumps(POINT), encoding="utf-8")
     monkeypatch.setattr(homology, "MAX_DEGREE_SPAN", 3)
@@ -254,7 +264,7 @@ USAGE_ARGV = [
     ["oracle", "3", "--order", "4", "--", "5"],
     ["oracle", "3", "--ord", "4", "--sign", "-"],
     ["zeta", "{file}", "--expand"], ["verify", "--suite", "paper", "extra"],
-    # rejected by the quiet verb parser, which must print none of it
+    # rejected by the verb's parser, which prints the error itself
     ["eval"], ["homology"], ["eval", "--h"], ["eval", "--he", "point()"],
     ["eval", "-hx"], ["oracle", "3", "--order"], ["zeta", "{file}", "--sign"],
     ["eval", "point()", "--expand", "-1"], ["oracle", "3", "--sign", "-h"],
@@ -313,16 +323,60 @@ def test_verb_parser_reads_as_the_full_one(verb, x2y4_file):
     ["verify", "--suite", "paper"]], ids=list(cli._VERBS))
 def test_valid_call_asks_for_no_help_text(argv, circle_file, x2y4_file,
                                           monkeypatch, capsys):
-    # a quiet parser with -h builds a help action, one with the default
-    # formatter queries the terminal size, and a rejected argv builds the
-    # full parser
+    # a parser with the default formatter queries the terminal size, and a
+    # valid argv is parsed by its verb's parser alone
     def refuse(*args, **kwargs):
         raise AssertionError("a valid call asked for help text")
-    monkeypatch.setattr(argparse._HelpAction, "__init__", refuse)
     monkeypatch.setattr(shutil, "get_terminal_size", refuse)
     monkeypatch.setattr(cli, "build_parser", refuse)
     file = circle_file if argv[0] == "homology" else x2y4_file
     assert main([arg.format(file=file) for arg in argv]) == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[verb, "-h"]
+                                                 for verb in cli._VERBS],
+                         ids=["none"] + list(cli._VERBS))
+def test_help_is_the_same_at_every_terminal_width(argv, monkeypatch, capsys):
+    printed = []
+    for columns in (40, 200):
+        monkeypatch.setattr(shutil, "get_terminal_size",
+                            lambda *args, columns=columns:
+                            os.terminal_size((columns, 24)))
+        printed.append(_run_main(argv, capsys))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == 0 and printed[0][1].startswith("usage: z2beta")
+
+
+#: Refusals whose text followed hash order: three faces of one cell that
+#: are not cells, and a stratum naming two unknown divisors.
+HASHED_REFUSALS = [
+    ("homology", {"cells": [{"id": "e", "dim": 1}],
+                  "boundary": {"e": ["w2", "ghost", "w1"]}}),
+    ("zeta", {"ambient_dim": 1, "divisors": [{"id": "E1", "N": 2, "nu": 1}],
+              "strata": [{"I": ["E1", "Y", "X"]}]}),
+]
+
+
+def test_refusal_text_is_the_same_under_every_hash_seed(tmp_path):
+    argvs = []
+    for verb, data in HASHED_REFUSALS:
+        path = tmp_path / f"{verb}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argvs.append([verb, str(path)])
+    code = ("import json, sys; from z2beta.cli import main\n"
+            "for argv in json.loads(sys.argv[1]): main(argv)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    printed = [subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
+        check=True, env={**os.environ, "PYTHONPATH": src,
+                         "PYTHONHASHSEED": seed}).stderr
+        for seed in ("1", "2")]
+    assert printed[0] == printed[1]
+    assert printed[0] == (
+        b"error: invalid complex: boundary of 'e' hits unknown cell 'ghost'; "
+        b"boundary of 'e' hits unknown cell 'w1'; "
+        b"boundary of 'e' hits unknown cell 'w2'\n"
+        b"error: stratum references unknown divisor 'Y'\n")
 
 
 def _count_parsers(monkeypatch):
@@ -349,9 +403,9 @@ def test_main_builds_only_the_named_verb(monkeypatch, capsys):
     assert main(["eval", "point()", "extra"]) == 1
     assert len(count) == 1 + 6
     count.clear()
-    # so is an argument the verb's parser rejects
+    # an argument the verb's parser rejects is reported by that parser
     assert main(["oracle", "3", "--order", "0"]) == 1
-    assert len(count) == 1 + 6
+    assert len(count) == 1
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

@@ -284,15 +284,15 @@ def test_homology_table_span_bound():
     assert len(table.group_dims) == MAX_DEGREE_SPAN + 1
     fresh = sphere_complex(2, "trivial")
     for n_min, n_max in [(-600, -599 + MAX_DEGREE_SPAN), (0, 10 ** 9)]:
-        with pytest.raises(ToolkitError, match="spans more than 1024 degrees"):
+        with pytest.raises(ToolkitError, match="spans more than 1030 degrees"):
             homology_table(fresh, n_min, n_max)
     # refused before any work: no rank family was taken
     assert "homology_dims" not in vars(fresh._chain_data())
-    # the default table of ``homology``, -5 .. top + 1, is longer at the
-    # largest dimension, and accepted
+    # the bound is the default table of ``homology``, -5 .. top + 1, at the
+    # largest dimension
     top = GCWComplex({"v": MAX_DIMENSION})
     table = homology_table(top, -5, MAX_DIMENSION + 1)
-    assert len(table.group_dims) == MAX_DIMENSION + 7
+    assert len(table.group_dims) == MAX_DEGREE_SPAN + 1
     with pytest.raises(ToolkitError, match="spans more than 1030 degrees"):
         homology_table(top, -6, MAX_DIMENSION + 1)
 
