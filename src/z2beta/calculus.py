@@ -12,6 +12,9 @@ class is in normal form by construction.  Only ``VirtualClass.from_value``,
 which decomposes an arbitrary rational function through
 ``algebra.split_tail``, can fail to find one.
 
+A free action has the class of its quotient, beta^G(X) = beta(X/G): c = 0
+and P is the ordinary virtual Poincare polynomial of X/G (``free_quotient``).
+
 Only the group operations plus multiplication by affine factors are exposed.
 A general ring product of two classes is deliberately absent: the series is
 additive and multiplicative against affine factors only, and a blanket
@@ -24,7 +27,8 @@ from __future__ import annotations
 from contextlib import suppress
 from typing import NamedTuple
 
-from .algebra import TAIL_SERIES, U_MINUS_ONE, IntPoly, RationalU, split_tail
+from .algebra import (TAIL_SERIES, U_MINUS_ONE, IntPoly, RationalU,
+                      exact_divide, split_tail)
 from .errors import (
     AssertionMissing,
     InvalidAtom,
@@ -132,8 +136,6 @@ def affine_product(a: VirtualClass, d: int) -> VirtualClass:
     """
     if d < 0:
         raise InvalidAtom(f"affine dimension must be >= 0, got {d}")
-    if d == 0:
-        return a
     poly = a.poly_part.shift(d) + a.fixed_tail * IntPoly.geometric_sum(1, d)
     return VirtualClass(poly, a.fixed_tail)
 
@@ -149,13 +151,11 @@ def trivial_lift(beta_poly: IntPoly, allow_negative: bool = False) -> VirtualCla
         raise NegativeCoefficient(
             f"{beta_poly} has a negative coefficient; pass allow_negative=True "
             "if it really is the virtual polynomial of a non-compact set")
-    # P = u * (beta - beta(1)) / (u - 1): its u^k coefficient is the sum of
-    # the coefficients of u^k, u^(k+1), ... in beta
-    poly, running = {}, 0
-    for k in range(0 if beta_poly.is_zero() else beta_poly.degree, 0, -1):
-        running += beta_poly[k]
-        poly[k] = running
-    return VirtualClass(IntPoly(poly), int(beta_poly.evaluate(1)))
+    # beta * u/(u-1) = P + beta(1) * u/(u-1) with P = u*(beta - beta(1))/(u-1),
+    # an exact division since u - 1 divides beta - beta(1)
+    at_one = beta_poly.evaluate(1)
+    poly = exact_divide((beta_poly - at_one).shift(1), U_MINUS_ONE.numerator)
+    return VirtualClass(poly, at_one)
 
 
 def free_quotient(a: VirtualClass, asserted_free: bool) -> IntPoly:
@@ -225,7 +225,8 @@ class Atom(NamedTuple):
 def atom_class(atom: Atom) -> VirtualClass:
     """The equivariant series of an atom.
 
-    point -> u/(u-1); swapped pair -> 1; free d-sphere -> 1 + u^d;
+    point -> u/(u-1); swapped pair -> 1; free d-sphere -> beta(RP^d) =
+    1 + u + ... + u^d, since beta^G(X) = beta(X/G) for a free action;
     d-sphere with a fixed point (or trivial action) -> u^d + ... + u + 2u/(u-1);
     affine d-space -> u^(d+1)/(u-1); custom -> the given value.
     """
@@ -236,7 +237,7 @@ def atom_class(atom: Atom) -> VirtualClass:
     if atom.kind == "sphere":
         d = atom.dim
         if atom.action == ACTION_FREE:
-            return VirtualClass(IntPoly({0: 1, d: 1}), 0)
+            return VirtualClass(IntPoly.geometric_sum(0, d), 0)
         # with a fixed point the groups do not depend on the action, and the
         # trivial action produces the same series
         return VirtualClass(IntPoly.geometric_sum(1, d), 2)

@@ -201,10 +201,6 @@ class GCWComplex:
     def top_dimension(self) -> int:
         return max(self.cells.values(), default=-1)
 
-    def _chain_data(self) -> "_ChainData":
-        """The total differential, built by ``validate_complex``."""
-        return self._chains
-
 
 def validate_complex(x: GCWComplex) -> list:
     """Every violated invariant with the offending cells; empty means valid.
@@ -234,11 +230,6 @@ def validate_complex(x: GCWComplex) -> list:
             report.append(f"boundary defined on unknown cell {cell!r}")
             continue
         below = cells[cell] - 1
-        for f in faces:
-            if cells.get(f) != below:
-                break
-        else:
-            continue  # the valid path: no sort
         for f in sorted(faces):  # not in hash order, which varies by run
             if f not in cells:
                 report.append(f"boundary of {cell!r} hits unknown cell {f!r}")
@@ -404,12 +395,12 @@ def _read(table: list, n: int) -> int:
 
 def equivariant_homology(x: GCWComplex, n: int) -> int:
     """dim over F2 of the n-th equivariant Borel-Moore homology group."""
-    return _read(x._chain_data().homology_dims, n)
+    return _read(x._chains.homology_dims, n)
 
 
 def plain_homology(x: GCWComplex, n: int) -> int:
     """Ordinary cellular F2 homology dimension (the involution is ignored)."""
-    return _read(x._chain_data().plain_dims, n)
+    return _read(x._chains.plain_dims, n)
 
 
 def equivariant_cohomology(x: GCWComplex, n: int) -> int:
@@ -422,7 +413,7 @@ def equivariant_cohomology(x: GCWComplex, n: int) -> int:
     Betti number of the fixed set (the point gives 1 in every degree
     n >= 0).
     """
-    return _read(x._chain_data().cohomology_dims, n)
+    return _read(x._chains.cohomology_dims, n)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +434,7 @@ def homology_table(x: GCWComplex, n_min: int, n_max: int) -> HomologyResult:
     if n_max - n_min > MAX_DEGREE_SPAN:
         raise ToolkitError(f"degree range {n_min}..{n_max} spans more "
                            f"than {MAX_DEGREE_SPAN} degrees")
-    table = x._chain_data().homology_dims
+    table = x._chains.homology_dims
     dims = {n: _read(table, n) for n in range(n_max, n_min - 1, -1)}
     stable = dims[n_min] if n_min <= -2 and n_min < n_max else None
     return HomologyResult(dims, stable)
@@ -474,7 +465,7 @@ def equivariant_betti_series(x: GCWComplex) -> VirtualClass:
     is the dimension of H_{-1}, shared by every degree below zero (the
     homology of the fixed set).
     """
-    table = x._chain_data().homology_dims
+    table = x._chains.homology_dims
     top = max(len(table) - 3, 0)  # the table holds degrees -1 .. top + 1
     tail = table[0]
     dims = dict(zip(range(top, -1, -1), table[top + 1:0:-1]))

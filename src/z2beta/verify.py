@@ -115,9 +115,12 @@ def _paper_suite(rec: _Recorder):
     rec.check("swapped pair class is 1",
               atom_class(Atom.pair()).value == RationalU(1))
     for d in (1, 2, 3):
-        rec.check(f"free {d}-sphere class is 1 + u^{d}",
-                  atom_class(Atom.sphere(d, ACTION_FREE)).value
-                  == RationalU(IntPoly({0: 1, d: 1})))
+        series = homology.equivariant_betti_series(
+            complexes.sphere_complex(d, "antipodal"))
+        free = atom_class(Atom.sphere(d, ACTION_FREE))
+        rec.check(f"free {d}-sphere class equals the series of the "
+                  f"antipodal S^{d}", free == series,
+                  f"atom class {free}, series {series}")
         expected = RationalU(IntPoly.geometric_sum(1, d)) + 2 * TAIL_SERIES
         rec.check(f"fixed-point {d}-sphere class is u^{d}+...+u + 2u/(u-1)",
                   atom_class(Atom.sphere(d, ACTION_FIXED)).value == expected)

@@ -202,11 +202,7 @@ class ZetaClosedForm(NamedTuple):
         merged = {}
         for coefficient, factors in terms:
             key = tuple(sorted(factors))
-            if key in merged:
-                coefficient = merged[key] + coefficient
-            elif not isinstance(coefficient, RationalU):  # or TypeError
-                coefficient = RationalU.zero() + coefficient
-            merged[key] = coefficient
+            merged[key] = merged.get(key, RationalU.zero()) + coefficient
         cleaned = [ZetaTerm(coef, key) for key, coef in merged.items()
                    if not coef.is_zero()]
         cleaned.sort(key=lambda t: t.factors)
@@ -240,20 +236,16 @@ class ZetaClosedForm(NamedTuple):
 def dl_zeta_signed(resolution: ResolutionData, sign: str) -> ZetaClosedForm:
     """Signed zeta function: per stratum, (u-1)^(|I|-1) times the covering
     class, times the geometric factor of every divisor through the stratum."""
-    return _over_strata(resolution, lambda stratum: _times_u_minus_one(
-        stratum.covering(sign).value, len(stratum.divisors) - 1))
+    return _over_strata(resolution, lambda stratum: (
+        U_MINUS_ONE ** (len(stratum.divisors) - 1)
+        * stratum.covering(sign).value))
 
 
 def dl_zeta_naive(resolution: ResolutionData) -> ZetaClosedForm:
     """Naive zeta function: per stratum, (u-1)^|I| times the ordinary class
     of the stratum, same geometric factors."""
-    return _over_strata(resolution, lambda stratum: _times_u_minus_one(
-        RationalU(stratum.base_class), len(stratum.divisors)))
-
-
-def _times_u_minus_one(value: RationalU, power: int) -> RationalU:
-    """value * (u-1)^power, with no product for power 0 (one divisor)."""
-    return value * U_MINUS_ONE ** power if power else value
+    return _over_strata(resolution, lambda stratum: (
+        U_MINUS_ONE ** len(stratum.divisors) * RationalU(stratum.base_class)))
 
 
 def _over_strata(resolution: ResolutionData, coefficient) -> ZetaClosedForm:
@@ -364,9 +356,8 @@ def check_sign_identity(resolution: ResolutionData,
     naive zeta function equals (u-1) times the positive signed one, both
     term-by-term and on expansions to ``order`` (default
     ``default_expansion_order``).  Closed forms are canonical, so when the
-    two sides match term by term their expansions are equal too and are not
-    computed; the report is the same either way.  Otherwise both sides are
-    expanded and the first T-degree where they differ is reported.
+    two sides match term by term their expansions are equal too.  Both
+    sides are expanded and the first T-degree where they differ is reported.
 
     Precondition: the germ is nonnegative, equivalently (by curve
     selection: no arc has a negative leading coefficient) its minus zeta
@@ -386,15 +377,12 @@ def check_sign_identity(resolution: ResolutionData,
     rhs = dl_zeta_naive(resolution)
     structural = lhs == rhs
     order = default_expansion_order(resolution) if order is None else order
-    if order < 1:
-        raise ValueError("order must be positive")
     first_mismatch = None
-    if not structural:  # equal closed forms have equal expansions
-        for (n, left), (_, right) in zip(expand_zeta(lhs, order),
-                                         expand_zeta(rhs, order)):
-            if left != right:
-                first_mismatch = (n, left, right)
-                break
+    for (n, left), (_, right) in zip(expand_zeta(lhs, order),
+                                     expand_zeta(rhs, order)):
+        if left != right:
+            first_mismatch = (n, left, right)
+            break
     return SignIdentityReport(structural, first_mismatch is None, order,
                               first_mismatch)
 

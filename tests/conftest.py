@@ -17,7 +17,7 @@ def assert_squares_to_zero(x):
     """Reference for the total differential of ``x``: D(D e_i) = 0 for every
     column i, with D applied one bit position at a time.  The constructor's
     invariants imply it, so a failure is a fault of the column builder."""
-    columns = x._chain_data().columns
+    columns = x._chains.columns
     for i, col in enumerate(columns):
         image, j = 0, 0
         while col:

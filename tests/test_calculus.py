@@ -26,6 +26,7 @@ from z2beta.calculus import (
     trivial_lift,
     union_disjoint,
 )
+from z2beta.complexes import sphere_complex
 from z2beta.errors import (
     AssertionMissing,
     InvalidAtom,
@@ -33,6 +34,7 @@ from z2beta.errors import (
     NormalFormError,
     NotFree,
 )
+from z2beta.homology import equivariant_betti_series
 
 U = IntPoly.u()
 
@@ -54,6 +56,19 @@ def test_sphere_classes(d):
     # a non-free action gives the same series whatever it does
     assert atom_class(Atom.sphere(d, ACTION_FIXED)) \
         == atom_class(Atom.sphere(d, ACTION_TRIVIAL))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_free_sphere_has_the_class_of_its_quotient(d):
+    # beta^G(S^d) = beta(RP^d): homology of the antipodal model, the quotient
+    # and, from d = 2, the scissor relation agree; S^d minus its equator is
+    # two swapped open d-discs
+    free = atom_class(Atom.sphere(d, ACTION_FREE))
+    assert free == equivariant_betti_series(sphere_complex(d, "antipodal"))
+    assert free_quotient(free, True) == geometric(0, d)
+    if d >= 2:
+        assert difference(free, atom_class(Atom.sphere(d - 1, ACTION_FREE))) \
+            == affine_product(atom_class(Atom.pair()), d)
 
 
 @pytest.mark.parametrize("d", range(5))
@@ -119,7 +134,7 @@ def test_affine_product_of_point():
 
 def test_affine_product_identity_and_pair():
     a = atom_class(Atom.sphere(3, ACTION_FIXED))
-    assert affine_product(a, 0) is a
+    assert affine_product(a, 0) == a
     assert affine_product(atom_class(Atom.pair()), 3).value == RationalU(U ** 3)
 
 

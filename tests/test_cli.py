@@ -79,7 +79,7 @@ def test_format_class_point():
 
 def test_format_class_polynomial_value():
     assert format_class(atom_class(Atom.pair())) == "1"
-    assert format_class(atom_class(Atom.sphere(2, "free"))) == "u^2 + 1"
+    assert format_class(atom_class(Atom.sphere(2, "free"))) == "u^2 + u + 1"
 
 
 def test_format_window():
@@ -131,7 +131,7 @@ def test_eval_quotient_with_expansion(capsys):
     # a quotient's ordinary polynomial is read as a series over 1
     code = main(["eval", "quotient(sphere(2,free))", "--expand", "3"])
     assert code == 0
-    assert capsys.readouterr().out == "u^2 + 1\n  tail: 0\n"
+    assert capsys.readouterr().out == "u^2 + u + 1\n  tail: 0\n"
 
 
 def test_eval_error_exit_code(capsys):

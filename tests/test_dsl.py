@@ -50,7 +50,7 @@ def test_curve_keywords():
 def test_quotient_returns_polynomial():
     assert evaluate(parse_expression("quotient(pair())")) == IntPoly.one()
     assert evaluate(parse_expression("quotient(sphere(2,free))")) \
-        == IntPoly({0: 1, 2: 1})
+        == IntPoly({0: 1, 1: 1, 2: 1})
 
 
 @pytest.mark.parametrize("text", [

@@ -207,7 +207,7 @@ def test_chain_data_leaves_no_cycle():
     try:
         cw = product_with_trivial(sphere_complex(3, "antipodal"),
                                   sphere_complex(1, "trivial"))
-        data = cw._chain_data()
+        data = cw._chains
         data.suffix_ranks, data.row_ranks, data.boundary_ranks
         data.homology_dims, data.cohomology_dims, data.plain_dims
         del cw, data
@@ -247,11 +247,11 @@ def test_complex_is_immutable():
 
 def test_validating_again_keeps_the_chain_data():
     cw = sphere_complex(2, "antipodal")
-    chains = cw._chain_data()
+    chains = cw._chains
     assert equivariant_homology(cw, 1) == 1
     assert validate_complex(cw) == []
     # the complex keeps its chain data and the rank family it took
-    assert cw._chain_data() is chains and "homology_dims" in vars(chains)
+    assert cw._chains is chains and "homology_dims" in vars(chains)
 
 
 def test_boundary_reduced_mod_two():
@@ -287,7 +287,7 @@ def test_homology_table_span_bound():
         with pytest.raises(ToolkitError, match="spans more than 1030 degrees"):
             homology_table(fresh, n_min, n_max)
     # refused before any work: no rank family was taken
-    assert "homology_dims" not in vars(fresh._chain_data())
+    assert "homology_dims" not in vars(fresh._chains)
     # the bound is the default table of ``homology``, -5 .. top + 1, at the
     # largest dimension
     top = GCWComplex({"v": MAX_DIMENSION})

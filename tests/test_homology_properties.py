@@ -176,7 +176,7 @@ def per_query_dims(x: GCWComplex, n: int) -> tuple:
     """Reference: equivariant homology, plain homology and equivariant
     cohomology in degree n, each from fresh eliminations over the slices of
     the total differential that degree n uses."""
-    data = x._chain_data()
+    data = x._chains
     cols, last = data.columns, len(data.start) - 1
 
     def pos(q):
@@ -224,7 +224,7 @@ def reference_ranks(x: GCWComplex) -> tuple:
 
 def assert_dims_match_per_query(x: GCWComplex):
     assert_squares_to_zero(x)
-    data = x._chain_data()
+    data = x._chains
     assert (data.suffix_ranks, data.row_ranks,
             data.boundary_ranks) == reference_ranks(x)
     top = x.top_dimension

@@ -554,13 +554,13 @@ def _count_expansions(monkeypatch):
 @pytest.mark.parametrize("resolution", [
     monomial_resolution(2), monomial_resolution(4), x2_plus_y4_resolution()],
     ids=["x^2", "x^4", "x^2+y^4"])
-def test_sign_identity_expands_nothing_when_the_forms_match(resolution,
-                                                            monkeypatch):
+def test_sign_identity_expands_both_sides_when_the_forms_match(resolution,
+                                                               monkeypatch):
     calls = _count_expansions(monkeypatch)
     report = check_sign_identity(resolution, order=24)
     assert report.passed and report.expansion_order == 24
     assert report.first_mismatch is None
-    assert calls == []
+    assert calls == [24, 24]
     with pytest.raises(ValueError):
         check_sign_identity(resolution, order=0)
 
