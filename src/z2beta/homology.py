@@ -21,9 +21,10 @@ accepted, Borel-Moore homology agrees with ordinary homology, and
 equivariant cohomology in degree n is built on the blocks C^q with
 q <= n: its coboundary is the transpose of the columns of the blocks
 q <= n + 1 with the rows of the blocks q > n masked off (sigma is an
-involution, so the 1 + sigma block is symmetric), and over F2 a matrix
-and its transpose have the same rank.  Plain homology masks the boundary
-of block n to the rows of block n - 1, dropping 1 + sigma.
+involution, so the 1 + sigma block is symmetric), which is the rows of
+the blocks q <= n, a prefix of the transposed columns.  Plain homology
+masks the boundary of block n to the rows of block n - 1, dropping
+1 + sigma.
 
 For every n <= -1 the degree-n piece and the pieces next to it are all the
 blocks C_0 .. C_top, so the differentials in and out are the same matrices:
@@ -42,15 +43,14 @@ over F2, where (1 + sigma)^2 = 0 as sigma^2 = 1.  On a q-cell the first
 term lies in the rows of dimension q - 2 and the second in those of
 dimension q - 1, so D^2 = 0 holds exactly when boundary^2 = 0 and sigma
 commutes with the boundary, and the rows of a nonzero column of D^2 say
-which fails.  A valid complex keeps the total differential it was checked on.
-Every rank a query needs is the rank of a suffix of the columns (homology),
-of a prefix of the rows (cohomology) or of one boundary block (plain
-homology), so each family is taken once per complex, by one Gaussian
-elimination over F2 with Python integers as bit columns.  Each family then
-gives one table of dimensions for the degrees -1 .. top + 1, the degrees
-below and above reading its ends, and each degree reads one table entry.
-The rows are built from the faces, not by transposing the columns: row c
-holds c, sigma(c) and every cell whose boundary holds c.
+which fails.  A valid complex keeps the cell order and the columns it was
+checked on, and nothing else of its differential.  Every rank a query
+needs is the rank of a suffix of the columns (homology), of a prefix of
+the transposed columns (cohomology) or of one boundary block (plain
+homology), so each of the three tables of dimensions, for the degrees
+-1 .. top + 1, is built once per complex by one Gaussian elimination over
+F2 with Python integers as bit vectors.  The degrees below and above read
+the ends of a table, and each degree reads one entry.
 """
 
 from __future__ import annotations
@@ -78,14 +78,14 @@ MAX_DIMENSION = 1024
 
 #: Largest cell count: on a 2-CPU VM, building a complex from its cell,
 #: face and sigma lists and taking its ``equivariant_betti_series`` takes
-#: about 0.005 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
-#: faces each, and 0.011 s on the denser antipodal S^7 times the fixed S^7
+#: about 0.006 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
+#: faces each, and 0.013 s on the denser antipodal S^7 times the fixed S^7
 #: and S^3 (two cells per dimension), 2048 cells with 5 faces each (medians
-#: of 21); nearly all of it is the construction, which validates on the
-#: total differential it builds.  With the bound raised, it takes 0.030 s
-#: on the sparse tower at 8192 cells and 0.060 s on the antipodal S^7 times
-#: the fixed S^7 and S^15 at 8192, whose cohomology and plain homology
-#: ranks take 0.036 s more.
+#: of 21, Python 3.11.7); nearly all of it is the construction, which
+#: validates on the total differential it builds.  With the bound raised,
+#: it takes 0.035 s on the sparse tower at 8192 cells and 0.071 s on the
+#: antipodal S^7 times the fixed S^7 and S^15 at 8192, whose cohomology
+#: and plain homology tables take 0.042 s more.
 MAX_CELLS = 2048
 
 #: Largest span n_max - n_min of a ``homology_table``, and of ``homology
@@ -287,8 +287,8 @@ def gf2_rank(columns) -> list:
 
 
 class _ChainData:
-    """The total differential of one complex as one matrix, and the ranks
-    that the homology queries read.
+    """The total differential of one complex as one matrix, and the tables
+    of dimensions that the homology queries read.
 
     Cells are grouped by dimension, in the complex's own order inside each
     block, and column i, over rows in the same order, is boundary(cell i) +
@@ -296,25 +296,22 @@ class _ChainData:
     dimension q, and ``start[top + 1]`` the cell count.  Every rank read is
     that of a whole block or run of blocks, so the order inside a block
     changes none.  ``validate_complex`` builds this object once the
-    structural checks pass, and checks D(D(cell)) = 0 on its columns.  The
-    columns are built here, from one bit per cell, and each family of ranks
-    on the first query that reads it, the rows from the faces.  Each family
-    gives one plain list of dimensions, entry
-    n + 1 for degree n = -1 .. top + 1, built on the first query that
-    reads it; every query is one read of that list.  Only the cell order
-    and the complex's read-only maps are kept, never the complex: it holds
-    this object, and a reference back would be a cycle that only the
-    garbage collector frees."""
+    structural checks pass, and checks D(D(cell)) = 0 on its columns.
+    Only the cell order and the columns are kept, never the complex: it
+    holds this object, and a reference back would be a cycle that only
+    the garbage collector frees.  Each table is a plain list of
+    dimensions, entry n + 1 for degree n = -1 .. top + 1, built by one
+    elimination on the first query that reads it; every query is one read
+    of it."""
 
     def __init__(self, x: GCWComplex):
         cells, sigma, boundary = x.cells, x.sigma, x.boundary
         self._order = sorted(cells, key=cells.__getitem__)
-        self._sigma, self._boundary = sigma, boundary
         counts = [0] * (x.top_dimension + 2)
         for d in cells.values():
             counts[d + 1] += 1
         self.start = list(accumulate(counts))
-        bit = self._bits()
+        bit = {c: 1 << i for i, c in enumerate(self._order)}
         self.columns = []
         for cell in self._order:
             col = bit[cell] ^ bit[sigma[cell]]
@@ -322,61 +319,48 @@ class _ChainData:
                 col ^= bit[f]
             self.columns.append(col)
 
-    def _bits(self) -> dict:
-        """Cell -> its bit, ``1 << position``."""
-        return {c: 1 << i for i, c in enumerate(self._order)}
-
     @cached_property
-    def suffix_ranks(self) -> list:
-        """The rank of ``columns[start[q]:]`` for every block q."""
+    def homology_dims(self) -> list:
+        """Equivariant homology in degrees -1 .. top + 1, from the rank of
+        ``columns[start[q]:]`` for every block q."""
+        total = len(self.columns)
         ranks = gf2_rank(self.columns[::-1])
-        return [ranks[len(self.columns) - s] for s in self.start]
+        suffix = [ranks[total - s] for s in self.start]
+        return [total - s0 - r0 - r1 for (s0, _), (r0, r1)
+                in zip(_degrees(self.start), _degrees(suffix))]
 
     @cached_property
-    def row_ranks(self) -> list:
-        """The rank of the rows before ``start[q]`` for every block q.  No
-        column after block q has an entry in those rows, so this is the
-        rank of ``columns[:start[q + 1]]`` with the rows from ``start[q]``
-        on masked off.  Row r holds r, sigma(r) and every cell whose
-        boundary holds r."""
-        bit, sigma = self._bits(), self._sigma
-        rows = {c: b ^ bit[sigma[c]] for c, b in bit.items()}
-        for cell, faces in self._boundary.items():
-            b = bit[cell]
-            for f in faces:
-                rows[f] ^= b
-        ranks = gf2_rank(rows.values())
-        return [ranks[s] for s in self.start]
+    def cohomology_dims(self) -> list:
+        """Equivariant cohomology in degrees -1 .. top + 1, from the rank of
+        the rows before ``start[q]`` for every block q: the transpose of
+        ``columns[:start[q + 1]]`` with the rows from ``start[q]`` on masked
+        off, since no later column has an entry in those rows.  The rows,
+        the transposed columns, are peeled off one top bit at a time."""
+        bits = [1 << i for i in range(len(self.columns))]
+        rows = [0] * len(self.columns)
+        for col, bit in zip(self.columns, bits):
+            while col:
+                i = col.bit_length() - 1
+                rows[i] ^= bit
+                col ^= bits[i]
+        ranks = gf2_rank(rows)
+        prefix = [ranks[s] for s in self.start]
+        return [s1 - r1 - r0 for (_, s1), (r0, r1)
+                in zip(_degrees(self.start), _degrees(prefix))]
 
     @cached_property
-    def boundary_ranks(self) -> list:
-        """The rank of the boundary of every block q: its columns with the
-        rows from ``start[q]`` on masked off (0 for the empty block top +
-        1).  The blocks hit disjoint rows, so one elimination ranks all."""
+    def plain_dims(self) -> list:
+        """Plain homology in degrees -1 .. top + 1, from the rank of the
+        boundary of every block q: its columns with the rows from
+        ``start[q]`` on masked off (0 for the empty block top + 1).  The
+        blocks hit disjoint rows, so one elimination ranks all."""
         masked = []
         for s, e in pairwise(self.start):
             masked += map(((1 << s) - 1).__and__, self.columns[s:e])
         ranks = gf2_rank(masked)
-        return [ranks[e] - ranks[s] for s, e in pairwise(self.start)] + [0]
-
-    @cached_property
-    def homology_dims(self) -> list:
-        """Equivariant homology in degrees -1 .. top + 1."""
-        total = len(self.columns)
-        return [total - s0 - r0 - r1 for (s0, _), (r0, r1)
-                in zip(_degrees(self.start), _degrees(self.suffix_ranks))]
-
-    @cached_property
-    def cohomology_dims(self) -> list:
-        """Equivariant cohomology in degrees -1 .. top + 1."""
-        return [s1 - r1 - r0 for (_, s1), (r0, r1)
-                in zip(_degrees(self.start), _degrees(self.row_ranks))]
-
-    @cached_property
-    def plain_dims(self) -> list:
-        """Plain homology in degrees -1 .. top + 1."""
+        blocks = [ranks[e] - ranks[s] for s, e in pairwise(self.start)] + [0]
         return [s1 - s0 - r0 - r1 for (s0, s1), (r0, r1)
-                in zip(_degrees(self.start), _degrees(self.boundary_ranks))]
+                in zip(_degrees(self.start), _degrees(blocks))]
 
 
 def _degrees(blocks: list):

@@ -9,9 +9,14 @@ printed value regenerates the corpus and names every changed file:
 
     PYTHONPATH=src python tests/regenerate_golden.py
 
-Argparse usage errors stay out, since their wording differs across the
-supported Python versions, and so does ``verify --suite all``, whose
-property half is slow and prints fixed strings.
+``REFUSALS`` holds one command per class of refused input, each printing
+one ``error:`` line: the complex checks, the resolution fields, the
+expression language and the degree range of ``homology``.  Their small
+JSON inputs are under ``tests/refusals/``.  Argparse usage errors stay
+out, since their wording differs across the supported Python versions.
+``verify --suite all``, whose property half is slow and prints fixed
+strings, is not a corpus command: its stdout alone goes to
+``tests/verify_suite_all.txt``, which CI compares on every interpreter.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from z2beta.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+VERIFY_ALL = ROOT / "tests" / "verify_suite_all.txt"
 X2Y4 = "data/x2y4_resolution.json"
 DATA = [path.relative_to(ROOT).as_posix()
         for path in sorted(ROOT.glob("data/*.json"))]
@@ -41,6 +47,22 @@ EXPRESSIONS = [
     "affprod(sphere(1,fixed), 3)", "affprod(sphere(0,free), 1)",
     "union(point(), sphere(2,trivial))", "union(quotient(pair()), point())",
     "union(point(),",
+]
+
+REFUSALS = [
+    *(["homology", f"tests/refusals/complex_{name}.json"]
+      for name in ("unknown_cell", "face_dimension", "sigma_involution",
+                   "boundary_squared", "sigma_commute")),
+    *(["zeta", f"tests/refusals/resolution_{name}.json"]
+      for name in ("ambient_dim", "divisors", "strata", "divisor_entry",
+                   "divisor_id", "divisor_N", "divisor_nu", "stratum_I",
+                   "stratum_m", "stratum_base", "stratum_cov_plus",
+                   "stratum_cov_minus", "unknown_divisor", "wrong_gcd")),
+    ["eval", "nosuch()"],
+    ["eval", "point(1)"],
+    ["eval", "lift(u^1025)"],
+    ["eval", f"lift({'9' * 1001})"],
+    ["homology", "data/s1_antipodal.json", "--range=0..1031"],
 ]
 
 README = [
@@ -72,6 +94,7 @@ def _commands() -> list[list[str]]:
     for expression in EXPRESSIONS:
         for expand in (["--expand", "5"], ["--expand", "0"], []):
             found.append(["eval", expression, *expand])
+    found.extend(REFUSALS)
     unique = []
     for argv in found:
         if argv not in unique:
@@ -83,14 +106,16 @@ COMMANDS = _commands()
 
 
 def slug(argv: list[str]) -> str:
-    """The corpus file name of a command."""
+    """The corpus file name of a command; a word longer than 64 characters
+    is named by its first 16 and its length."""
     words = [re.sub(r"[^A-Za-z0-9.]+", "-", arg.replace("+", "plus"))
              .strip("-") or "minus" for arg in argv]
+    words = [w if len(w) <= 64 else f"{w[:16]}-{len(w)}-chars" for w in words]
     return "_".join(words) + ".txt"
 
 
-def render(argv: list[str]) -> bytes:
-    """The exit code, stdout and stderr of ``z2beta argv``, as corpus bytes."""
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of ``z2beta argv``."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
@@ -99,13 +124,20 @@ def render(argv: list[str]) -> bytes:
             code = main(list(argv))
     finally:
         os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def render(argv: list[str]) -> bytes:
+    """The exit code, stdout and stderr of ``z2beta argv``, as corpus bytes."""
+    code, out, err = run(argv)
     text = (f"$ z2beta {shlex.join(argv)}\nexit {code}\n"
-            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+            f"--- stdout\n{out}--- stderr\n{err}")
     return text.encode("utf-8")
 
 
 def regenerate() -> None:
-    """Rewrite the corpus: one file per command, stale files removed."""
+    """Rewrite the corpus, one file per command with stale files removed,
+    and the stdout of ``verify --suite all``."""
     GOLDEN.mkdir(exist_ok=True)
     names = {slug(argv): argv for argv in COMMANDS}
     if len(names) != len(COMMANDS):
@@ -114,6 +146,7 @@ def regenerate() -> None:
         (GOLDEN / stale).unlink()
     for name, argv in names.items():
         (GOLDEN / name).write_bytes(render(argv))
+    VERIFY_ALL.write_bytes(run(["verify", "--suite", "all"])[1].encode("utf-8"))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from z2beta.algebra import IntPoly, RationalU, laurent_expand
 from z2beta.calculus import Atom, atom_class
 from z2beta.cli import format_class, format_output, format_window, main
 from z2beta.homology import MAX_CELLS
+from regenerate_golden import GOLDEN, REFUSALS, slug
 
 U = IntPoly.u()
 
@@ -347,36 +348,21 @@ def test_help_is_the_same_at_every_terminal_width(argv, monkeypatch, capsys):
     assert printed[0][0] == 0 and printed[0][1].startswith("usage: z2beta")
 
 
-#: Refusals whose text followed hash order: three faces of one cell that
-#: are not cells, and a stratum naming two unknown divisors.
-HASHED_REFUSALS = [
-    ("homology", {"cells": [{"id": "e", "dim": 1}],
-                  "boundary": {"e": ["w2", "ghost", "w1"]}}),
-    ("zeta", {"ambient_dim": 1, "divisors": [{"id": "E1", "N": 2, "nu": 1}],
-              "strata": [{"I": ["E1", "Y", "X"]}]}),
-]
-
-
-def test_refusal_text_is_the_same_under_every_hash_seed(tmp_path):
-    argvs = []
-    for verb, data in HASHED_REFUSALS:
-        path = tmp_path / f"{verb}.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        argvs.append([verb, str(path)])
-    code = ("import json, sys; from z2beta.cli import main\n"
-            "for argv in json.loads(sys.argv[1]): main(argv)")
-    src = str(Path(cli.__file__).resolve().parents[1])
+def test_refusal_text_is_the_same_under_every_hash_seed():
+    # the refusal corpus holds the two refusals whose text once followed
+    # hash order: three faces of one cell that are not cells, and a stratum
+    # naming two unknown divisors
+    code = ("import sys; from regenerate_golden import REFUSALS, render\n"
+            "sys.stdout.buffer.write(b''.join(map(render, REFUSALS)))")
+    path = os.pathsep.join([str(Path(cli.__file__).resolve().parents[1]),
+                            str(GOLDEN.parent)])
     printed = [subprocess.run(
-        [sys.executable, "-c", code, json.dumps(argvs)], capture_output=True,
-        check=True, env={**os.environ, "PYTHONPATH": src,
-                         "PYTHONHASHSEED": seed}).stderr
+        [sys.executable, "-c", code], capture_output=True, check=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}).stdout
         for seed in ("1", "2")]
     assert printed[0] == printed[1]
-    assert printed[0] == (
-        b"error: invalid complex: boundary of 'e' hits unknown cell 'ghost'; "
-        b"boundary of 'e' hits unknown cell 'w1'; "
-        b"boundary of 'e' hits unknown cell 'w2'\n"
-        b"error: stratum references unknown divisor 'Y'\n")
+    assert printed[0] == b"".join(
+        (GOLDEN / slug(argv)).read_bytes() for argv in REFUSALS)
 
 
 def _count_parsers(monkeypatch):

@@ -17,10 +17,10 @@ vertex, and no subcomplex of an antipodal base has a fixed cell, so the
 free draws come from the antipodal bases.
 
 The same draws, the bases themselves and two larger complexes also check
-the ranks each complex computes once against one elimination per query
+the tables each complex computes once against one elimination per query
 over the slices of the total differential that the degree uses, and
-against the previous chain-data builder, and that the total differential
-squares to zero.  On the draws, homology tables and series equal
+against tables built from the ranks of an earlier chain-data builder, and
+that the total differential squares to zero.  On the draws, homology tables and series equal
 per-degree reads, and equivariant cohomology above the top degree is the
 total Betti number of the fixed set (localization again).  Tampered bases,
 with one face flipped or the involution redirected, are judged as the
@@ -37,6 +37,7 @@ from z2beta.calculus import VirtualClass
 from z2beta.complexes import sphere_complex
 from z2beta.homology import (
     GCWComplex,
+    _degrees,
     equivariant_betti_series,
     equivariant_cohomology,
     equivariant_homology,
@@ -191,10 +192,10 @@ def per_query_dims(x: GCWComplex, n: int) -> tuple:
 
 
 def reference_ranks(x: GCWComplex) -> tuple:
-    """Reference: the suffix, row and boundary-block ranks of the previous
-    builder, with the cells sorted by (dimension, id), each face shifted to
-    its bit, the rows peeled bit by bit from the columns and every boundary
-    column masked on its own."""
+    """Reference: the block starts and the suffix, row and boundary-block
+    ranks of an earlier builder, with the cells sorted by (dimension, id),
+    each face shifted to its bit, the rows peeled lowest bit first from the
+    columns and every boundary column masked on its own."""
     order = sorted(x.cells, key=lambda c: (x.cells[c], c))
     index = {c: i for i, c in enumerate(order)}
     counts = [0] * (x.top_dimension + 2)
@@ -217,16 +218,29 @@ def reference_ranks(x: GCWComplex) -> tuple:
     row = gf2_rank(rows)
     bnd = gf2_rank([columns[i] & ((1 << s) - 1)
                     for s, e in pairwise(start) for i in range(s, e)])
-    return ([suffix[len(columns) - s] for s in start],
+    return (start, [suffix[len(columns) - s] for s in start],
             [row[s] for s in start],
             [bnd[e] - bnd[s] for s, e in pairwise(start)] + [0])
+
+
+def reference_dims(x: GCWComplex) -> tuple:
+    """Reference: the homology, cohomology and plain homology tables over
+    the degrees -1 .. top + 1, built from ``reference_ranks``."""
+    start, suffix, row, bnd = reference_ranks(x)
+    total = len(x.cells)
+    blocks = list(_degrees(start))
+    return ([total - s0 - r0 - r1
+             for (s0, _), (r0, r1) in zip(blocks, _degrees(suffix))],
+            [s1 - r1 - r0 for (_, s1), (r0, r1) in zip(blocks, _degrees(row))],
+            [s1 - s0 - r0 - r1
+             for (s0, s1), (r0, r1) in zip(blocks, _degrees(bnd))])
 
 
 def assert_dims_match_per_query(x: GCWComplex):
     assert_squares_to_zero(x)
     data = x._chains
-    assert (data.suffix_ranks, data.row_ranks,
-            data.boundary_ranks) == reference_ranks(x)
+    assert (data.homology_dims, data.cohomology_dims,
+            data.plain_dims) == reference_dims(x)
     top = x.top_dimension
     # far outside the complex too, so both ends of each table are read
     for n in [-50, -top - 3, *range(-3, top + 3), top + 3, top + 50]:
