@@ -21,10 +21,9 @@ accepted, Borel-Moore homology agrees with ordinary homology, and
 equivariant cohomology in degree n is built on the blocks C^q with
 q <= n: its coboundary is the transpose of the columns of the blocks
 q <= n + 1 with the rows of the blocks q > n masked off (sigma is an
-involution, so the 1 + sigma block is symmetric), which is the rows of
-the blocks q <= n, a prefix of the transposed columns.  Plain homology
-masks the boundary of block n to the rows of block n - 1, dropping
-1 + sigma.
+involution, so the 1 + sigma block is symmetric), and has the rank of
+the rows of the blocks q <= n.  Plain homology masks the boundary of
+block n to the rows of block n - 1, dropping 1 + sigma.
 
 For every n <= -1 the degree-n piece and the pieces next to it are all the
 blocks C_0 .. C_top, so the differentials in and out are the same matrices:
@@ -45,18 +44,21 @@ dimension q - 1, so D^2 = 0 holds exactly when boundary^2 = 0 and sigma
 commutes with the boundary, and the rows of a nonzero column of D^2 say
 which fails.  A valid complex keeps the cell order and the columns it was
 checked on, and nothing else of its differential.  Every rank a query
-needs is the rank of a suffix of the columns (homology), of a prefix of
-the transposed columns (cohomology) or of one boundary block (plain
-homology), so each of the three tables of dimensions, for the degrees
--1 .. top + 1, is built once per complex by one Gaussian elimination over
-F2 with Python integers as bit vectors.  The degrees below and above read
-the ends of a table, and each degree reads one entry.
+needs is the rank of a suffix of the columns (homology), of the rows
+before a block start (cohomology: the count of lowest-row pivots before
+it, in one elimination of the kept columns) or of one boundary block
+(plain homology), so each of the three tables of dimensions, for the
+degrees -1 .. top + 1, is built once per complex by one Gaussian
+elimination over F2 with Python integers as bit vectors.  The degrees
+below and above read the ends of a table, and each degree reads one
+entry.
 """
 
 from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_left
 from functools import cached_property
 from itertools import accumulate, pairwise
 from pathlib import Path
@@ -78,14 +80,14 @@ MAX_DIMENSION = 1024
 
 #: Largest cell count: on a 2-CPU VM, building a complex from its cell,
 #: face and sigma lists and taking its ``equivariant_betti_series`` takes
-#: about 0.006 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
-#: faces each, and 0.013 s on the denser antipodal S^7 times the fixed S^7
+#: about 0.013 s on the antipodal S^3 times (S^1)^8, 2048 cells with 1.5
+#: faces each, and 0.024 s on the denser antipodal S^7 times the fixed S^7
 #: and S^3 (two cells per dimension), 2048 cells with 5 faces each (medians
 #: of 21, Python 3.11.7); nearly all of it is the construction, which
 #: validates on the total differential it builds.  With the bound raised,
-#: it takes 0.035 s on the sparse tower at 8192 cells and 0.071 s on the
+#: it takes 0.082 s on the sparse tower at 8192 cells and 0.15 s on the
 #: antipodal S^7 times the fixed S^7 and S^15 at 8192, whose cohomology
-#: and plain homology tables take 0.042 s more.
+#: and plain homology tables take 0.05 s more.
 MAX_CELLS = 2048
 
 #: Largest span n_max - n_min of a ``homology_table``, and of ``homology
@@ -301,8 +303,8 @@ class _ChainData:
     holds this object, and a reference back would be a cycle that only
     the garbage collector frees.  Each table is a plain list of
     dimensions, entry n + 1 for degree n = -1 .. top + 1, built by one
-    elimination on the first query that reads it; every query is one read
-    of it."""
+    elimination of the columns on the first query that reads it (for
+    cohomology, the count of lowest-row pivots); a query reads one entry."""
 
     def __init__(self, x: GCWComplex):
         cells, sigma, boundary = x.cells, x.sigma, x.boundary
@@ -334,17 +336,17 @@ class _ChainData:
         """Equivariant cohomology in degrees -1 .. top + 1, from the rank of
         the rows before ``start[q]`` for every block q: the transpose of
         ``columns[:start[q + 1]]`` with the rows from ``start[q]`` on masked
-        off, since no later column has an entry in those rows.  The rows,
-        the transposed columns, are peeled off one top bit at a time."""
-        bits = [1 << i for i in range(len(self.columns))]
-        rows = [0] * len(self.columns)
-        for col, bit in zip(self.columns, bits):
-            while col:
-                i = col.bit_length() - 1
-                rows[i] ^= bit
-                col ^= bits[i]
-        ranks = gf2_rank(rows)
-        prefix = [ranks[s] for s in self.start]
+        off, since no later column has an entry in those rows.  One
+        elimination of the columns keys each pivot by its lowest row, and
+        that rank is the number of pivot rows before ``start[q]``."""
+        pivots = {}
+        for v in self.columns:
+            while v and (low := (v & -v).bit_length() - 1) in pivots:
+                v ^= pivots[low]
+            if v:
+                pivots[low] = v
+        rows = sorted(pivots)
+        prefix = [bisect_left(rows, s) for s in self.start]
         return [s1 - r1 - r0 for (_, s1), (r0, r1)
                 in zip(_degrees(self.start), _degrees(prefix))]
 

@@ -116,14 +116,12 @@ def load_resolution(source) -> ResolutionData:
         raise MalformedInput("ambient_dim must be a positive integer")
     _check_digits(ambient, "ambient_dim")
 
-    divisor_entries = data.get("divisors", [])
-    stratum_entries = data.get("strata", [])
-    if not isinstance(divisor_entries, list) \
-            or not isinstance(stratum_entries, list):
-        raise MalformedInput("divisors and strata must be lists")
+    for field in ("divisors", "strata"):
+        if not isinstance(data.get(field, []), list):
+            raise MalformedInput(f"{field} must be a list")
 
     by_id = {}
-    for entry in divisor_entries:
+    for entry in data.get("divisors", []):
         try:
             div = Divisor(str(entry["id"]), entry["N"], entry["nu"])
         except (KeyError, TypeError) as exc:
@@ -141,7 +139,7 @@ def load_resolution(source) -> ResolutionData:
 
     strata = []
     seen_sets = set()
-    for entry in stratum_entries:
+    for entry in data.get("strata", []):
         if not isinstance(entry, dict) or "I" not in entry:
             raise MalformedInput(f"stratum without divisor set: {entry!r}")
         if not isinstance(entry["I"], list):

@@ -9,6 +9,10 @@ printed value regenerates the corpus and names every changed file:
 
     PYTHONPATH=src python tests/regenerate_golden.py
 
+With ``--check`` it rewrites nothing: it prints every corpus file whose
+bytes differ from a fresh render, is missing or is stale, and exits 1 if
+there is any.  It needs no pytest, so it runs on every interpreter.
+
 ``REFUSALS`` holds one command per class of refused input, each printing
 one ``error:`` line: the complex checks, the resolution fields, the
 expression language and the degree range of ``homology``.  Their small
@@ -21,6 +25,7 @@ strings, is not a corpus command: its stdout alone goes to
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
@@ -135,19 +140,48 @@ def render(argv: list[str]) -> bytes:
     return text.encode("utf-8")
 
 
+def expected() -> dict[Path, bytes]:
+    """The bytes of every corpus file and of ``verify --suite all``'s
+    stdout, rendered now."""
+    names = {slug(argv): argv for argv in COMMANDS}
+    if len(names) != len(COMMANDS):
+        raise SystemExit("two commands share a corpus file name")
+    files = {GOLDEN / name: render(argv) for name, argv in names.items()}
+    files[VERIFY_ALL] = run(["verify", "--suite", "all"])[1].encode("utf-8")
+    return files
+
+
 def regenerate() -> None:
     """Rewrite the corpus, one file per command with stale files removed,
     and the stdout of ``verify --suite all``."""
     GOLDEN.mkdir(exist_ok=True)
-    names = {slug(argv): argv for argv in COMMANDS}
-    if len(names) != len(COMMANDS):
-        raise SystemExit("two commands share a corpus file name")
-    for stale in set(p.name for p in GOLDEN.glob("*.txt")) - set(names):
-        (GOLDEN / stale).unlink()
-    for name, argv in names.items():
-        (GOLDEN / name).write_bytes(render(argv))
-    VERIFY_ALL.write_bytes(run(["verify", "--suite", "all"])[1].encode("utf-8"))
+    files = expected()
+    for stale in set(GOLDEN.glob("*.txt")) - set(files):
+        stale.unlink()
+    for path, data in files.items():
+        path.write_bytes(data)
+
+
+def check() -> int:
+    """Compare the committed files with fresh renders, print each differing,
+    missing or stale one, and return 1 if there is any, else 0."""
+    files = expected()
+    faults = [f"stale: {path.relative_to(ROOT)}"
+              for path in sorted(set(GOLDEN.glob("*.txt")) - set(files))]
+    for path, data in files.items():
+        if not path.exists():
+            faults.append(f"missing: {path.relative_to(ROOT)}")
+        elif path.read_bytes() != data:
+            faults.append(f"differs: {path.relative_to(ROOT)}")
+    print("\n".join(faults) or f"{len(files)} files match")
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare the committed files instead of "
+                             "rewriting them; exit 1 on any difference")
+    if parser.parse_args().check:
+        raise SystemExit(check())
     regenerate()

@@ -172,7 +172,9 @@ def test_negative_tail_ranked_once(monkeypatch):
 
 
 def test_every_table_ranked_once(monkeypatch):
-    # each family is one elimination, and its table is built once from it
+    # each table is built once from one elimination: homology and plain
+    # homology rank with gf2_rank, cohomology counts its own lowest-row
+    # pivots, and a second round of queries eliminates nothing
     calls, built = [], []
     real = homology.gf2_rank
 
@@ -191,12 +193,14 @@ def test_every_table_ranked_once(monkeypatch):
     monkeypatch.setattr(homology, "_ChainData", CountingChainData)
     cw = product_with_trivial(x, y)
     top = cw.top_dimension
-    for _ in range(2):
+    tables = ("homology_dims", "cohomology_dims", "plain_dims")
+    for i in range(2):
         for n in range(-5, top + 6):
             equivariant_homology(cw, n)
             equivariant_cohomology(cw, n)
             plain_homology(cw, n)
-    assert calls == [len(cw.cells)] * 3 and built == [cw]
+        assert calls == [len(cw.cells)] * 2 and built == [cw], i
+        assert all(name in vars(cw._chains) for name in tables), i
 
 
 def test_chain_data_leaves_no_cycle():

@@ -9,7 +9,13 @@ Compact Transformation Groups*, ch. III):
   Betti number of the fixed set X^G, and the Smith inequality bounds it by
   the total F2 Betti number of X;
 * for a free action, H^G_n(X) = H_n(X/G; F2), the homology of the orbit
-  complex.
+  complex, and H^n_G(X) = H^n(X/G; F2), which over F2 has the dimensions
+  of H_n(X/G; F2).
+
+Written as P + c*u/(u - 1), the series takes half the Euler
+characteristic at u = -1: P(-1) + c/2 = chi(X)/2, as u/(u - 1) is 1/2
+there (McCrory-Parusinski 2003, "Virtual Betti numbers of real algebraic
+varieties").
 
 The bases are the antipodal and the reflection S^1..S^3, each times
 (S^1)^0..2.  Every nonempty subcomplex of a reflection base holds a fixed
@@ -27,6 +33,7 @@ with one face flipped or the involution redirected, are judged as the
 set-based reference of the algebraic checks judges them.
 """
 
+from fractions import Fraction
 from itertools import accumulate, pairwise
 
 import pytest
@@ -156,8 +163,30 @@ def test_tail_is_fixed_set_homology_and_obeys_smith(x):
 def test_free_action_equals_orbit_complex_homology(x):
     assert all(x.sigma[c] != c for c in x.cells)
     quotient = orbit_complex(x)
-    for n in range(-2, x.top_dimension + 2):
+    for n in range(-2, x.top_dimension + 3):
         assert equivariant_homology(x, n) == plain_homology(quotient, n), n
+        assert equivariant_cohomology(x, n) == plain_homology(quotient, n), n
+
+
+def assert_half_euler_at_minus_one(x: GCWComplex):
+    series = equivariant_betti_series(x)
+    euler = sum((-1) ** d for d in x.cells.values())
+    assert (series.poly_part.evaluate(-1) + Fraction(series.fixed_tail, 2)
+            == Fraction(euler, 2)), series
+
+
+@SETTINGS
+@hypothesis.given(subcomplexes(BASES))
+def test_series_at_minus_one_is_half_euler(x):
+    assert_half_euler_at_minus_one(x)
+
+
+def test_series_at_minus_one_is_half_euler_on_models():
+    # "with_fixed_point" builds the "trivial" model
+    spheres = [sphere_complex(d, action) for d in range(1, 6)
+               for action in ("trivial", "antipodal")]
+    for x in [*spheres, *BASES]:
+        assert_half_euler_at_minus_one(x)
 
 
 @SETTINGS

@@ -112,6 +112,16 @@ def test_wrongly_typed_fields_rejected(data):
         load_resolution(data)
 
 
+@pytest.mark.parametrize("data, field", [
+    ({"ambient_dim": 1, "divisors": 7, "strata": 7}, "divisors"),
+    ({"ambient_dim": 1, "divisors": [], "strata": {"I": []}}, "strata"),
+], ids=["divisors", "strata"])
+def test_non_list_field_is_named(data, field):
+    # divisors is checked first, so a file with both wrong names divisors
+    with pytest.raises(MalformedInput, match=f"^{field} must be a list$"):
+        load_resolution(data)
+
+
 def test_shipped_data_file_matches_builtin():
     import pathlib
 
