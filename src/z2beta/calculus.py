@@ -15,6 +15,13 @@ which decomposes an arbitrary rational function through
 A free action has the class of its quotient, beta^G(X) = beta(X/G): c = 0
 and P is the ordinary virtual Poincare polynomial of X/G (``free_quotient``).
 
+At u = -1 the value is half the Euler characteristic with compact supports,
+P(-1) + c/2 = chi_c(X)/2.  The series is additive over X = X_free + F, with
+F the fixed set.  The free part has the class of its quotient, and a double
+cover halves chi_c, so it gives chi_c(X_free/G) = chi_c(X_free)/2.  F has
+trivial action and class beta(F) * u/(u-1) (``trivial_lift``); u/(u-1) is
+1/2 at u = -1, so F gives chi_c(F)/2, and the tail term c * u/(u-1) is c/2.
+
 Only the group operations plus multiplication by affine factors are exposed.
 A general ring product of two classes is deliberately absent: the series is
 additive and multiplicative against affine factors only, and a blanket

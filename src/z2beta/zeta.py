@@ -16,8 +16,11 @@ sums are taken per distinct q, and one RationalU is built per (q, T-degree).
 
 Covering classes are *inputs*: carving them out of charts would need real
 semialgebraic geometry, and the worked examples hand them over directly.
-The engine applies the stratum formula literally to the covering classes it
-reads; the gcd of the multiplicities only validates a stored m.  The
+The built-in generators (``x2_plus_y4_resolution``, ``monomial_resolution``)
+build their divisors, strata and coverings as values; ``load_resolution`` is
+the one reader of outside input (files, mappings) and validates it.  The
+engine applies the stratum formula literally to the covering classes it is
+given; the gcd of the multiplicities only validates a stored m.  The
 arc-space module computes the same coefficients straight from the definition
 so the two routes can be compared instead of silently reconciled (they are
 known to disagree at even multiplicities with even quotient order).
@@ -96,11 +99,12 @@ def _parse_virtual_class(data, where: str) -> VirtualClass:
 
 
 def load_resolution(source) -> ResolutionData:
-    """Read and validate resolution data.
+    """Read and validate resolution data from outside input.
 
     ``source`` is a mapping, or a path (``str`` or ``Path``) to a JSON
     file.  The gcd of multiplicities is recomputed per stratum and checked
-    against the stored value when one is present.
+    against the stored value when one is present.  The built-in generators
+    build ``ResolutionData`` values directly and do not come through here.
     """
     data = source
     if isinstance(source, (str, Path)):
@@ -399,22 +403,12 @@ def x2_plus_y4_resolution() -> ResolutionData:
     line the double cover is two copies of it exchanged by the involution
     (class u); the intersection point lifts to a swapped pair (class 1).
     """
-    return load_resolution({
-        "ambient_dim": 2,
-        "divisors": [{"id": "E1", "N": 2, "nu": 2},
-                     {"id": "E2", "N": 4, "nu": 3}],
-        "strata": [
-            {"I": ["E1"], "base": "u",
-             "cov_plus": {"poly": "u", "tail": 0},
-             "cov_minus": {"poly": "0", "tail": 0}},
-            {"I": ["E2"], "base": "u",
-             "cov_plus": {"poly": "u", "tail": 0},
-             "cov_minus": {"poly": "0", "tail": 0}},
-            {"I": ["E1", "E2"], "base": "1",
-             "cov_plus": {"poly": "1", "tail": 0},
-             "cov_minus": {"poly": "0", "tail": 0}},
-        ],
-    })
+    u, empty = IntPoly.u(), VirtualClass.zero()
+    return ResolutionData(2, (Divisor("E1", 2, 2), Divisor("E2", 4, 3)), (
+        Stratum(frozenset({"E1"}), u, VirtualClass(u, 0), empty, 2),
+        Stratum(frozenset({"E2"}), u, VirtualClass(u, 0), empty, 4),
+        Stratum(frozenset({"E1", "E2"}), IntPoly.one(),
+                VirtualClass(1, 0), empty, 2)))
 
 
 def monomial_resolution(exponent: int) -> ResolutionData:
@@ -429,14 +423,9 @@ def monomial_resolution(exponent: int) -> ResolutionData:
     if exponent < 1:
         raise ValueError("exponent must be >= 1")
     if exponent % 2 == 1:
-        cov_plus = cov_minus = {"poly": "0", "tail": 1}
+        cov_plus = cov_minus = VirtualClass(0, 1)
     else:
-        cov_plus = {"poly": "1", "tail": 0}
-        cov_minus = {"poly": "0", "tail": 0}
-    return load_resolution({
-        "ambient_dim": 1,
-        "divisors": [{"id": "E1", "N": exponent, "nu": 1}],
-        "strata": [{"I": ["E1"], "base": "1",
-                    "cov_plus": cov_plus, "cov_minus": cov_minus,
-                    "m": exponent}],
-    })
+        cov_plus, cov_minus = VirtualClass(1, 0), VirtualClass.zero()
+    return ResolutionData(1, (Divisor("E1", exponent, 1),), (
+        Stratum(frozenset({"E1"}), IntPoly.one(), cov_plus, cov_minus,
+                exponent),))

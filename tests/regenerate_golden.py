@@ -62,7 +62,8 @@ REFUSALS = [
       for name in ("ambient_dim", "divisors", "strata", "divisor_entry",
                    "divisor_id", "divisor_N", "divisor_nu", "stratum_I",
                    "stratum_m", "stratum_base", "stratum_cov_plus",
-                   "stratum_cov_minus", "unknown_divisor", "wrong_gcd")),
+                   "stratum_cov_poly", "stratum_cov_minus",
+                   "unknown_divisor", "wrong_gcd")),
     ["eval", "nosuch()"],
     ["eval", "point(1)"],
     ["eval", "lift(u^1025)"],

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from z2beta import cli, homology
+from z2beta import cli, homology, verify
 from z2beta.algebra import IntPoly, RationalU, laurent_expand
 from z2beta.calculus import Atom, atom_class
 from z2beta.cli import format_class, format_output, format_window, main
@@ -241,6 +241,17 @@ def test_verify_paper_suite(capsys):
     assert "[PASS]" in out
     assert "[FAIL]" not in out
     assert "0 failed" in out
+
+
+def test_verify_failing_check_is_reported(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run_suite", lambda suite: [
+        verify.CheckResult("holds", True),
+        verify.CheckResult("breaks", False, "got 1, expected 2")])
+    code = main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2
+    assert "[FAIL] breaks -- got 1, expected 2" in lines
+    assert lines[-1] == "2 checks, 1 failed"
 
 
 def test_missing_file_is_input_error(capsys):

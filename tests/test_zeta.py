@@ -165,6 +165,40 @@ def test_load_from_file(tmp_path):
     assert res.strata[0].m == 2
 
 
+def test_generators_build_values_without_the_loader(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator read polynomial text")
+
+    monkeypatch.setattr(zeta, "load_resolution", refuse)
+    monkeypatch.setattr(IntPoly, "parse", refuse)
+    assert len(x2_plus_y4_resolution().strata) == 3
+    for exponent in range(1, 9):
+        assert monomial_resolution(exponent).strata[0].m == exponent
+
+
+@pytest.mark.parametrize("exponent", range(1, 9))
+def test_monomial_generator_equals_loaded_dict(exponent):
+    # the same resolution as text, read by the loader
+    if exponent % 2 == 1:
+        cov_plus = cov_minus = {"poly": "0", "tail": 1}
+    else:
+        cov_plus = {"poly": "1", "tail": 0}
+        cov_minus = {"poly": "0", "tail": 0}
+    assert monomial_resolution(exponent) == load_resolution({
+        "ambient_dim": 1,
+        "divisors": [{"id": "E1", "N": exponent, "nu": 1}],
+        "strata": [{"I": ["E1"], "base": "1",
+                    "cov_plus": cov_plus, "cov_minus": cov_minus,
+                    "m": exponent}],
+    })
+
+
+@pytest.mark.parametrize("exponent", [0, -1])
+def test_monomial_generator_refuses_exponent_below_one(exponent):
+    with pytest.raises(ValueError, match="^exponent must be >= 1$"):
+        monomial_resolution(exponent)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
