@@ -113,11 +113,9 @@ def _parse_range(text: str):
 
 
 def _cmd_homology(args) -> int:
+    degrees = _parse_range(args.range) if args.range else None
     complex_ = homology.GCWComplex.load(args.file)
-    if args.range:
-        n_min, n_max = _parse_range(args.range)
-    else:
-        n_min, n_max = -5, max(complex_.top_dimension, 0) + 1
+    n_min, n_max = degrees or (-5, max(complex_.top_dimension, 0) + 1)
     table = homology.homology_table(complex_, n_min, n_max)
     for n in sorted(table.group_dims, reverse=True):
         print(f"H_{n} : {table.group_dims[n]}")

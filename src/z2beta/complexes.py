@@ -1,14 +1,14 @@
 """Curated cellular models used throughout the test vectors.
 
 All of them are compact, so their equivariant series can be read off their
-homology and compared against the closed forms of the calculus atoms.
+homology and compared against the closed forms of the calculus atoms.  A
+sphere takes the atoms' actions, ``calculus.SPHERE_ACTIONS``.
 """
 
 from __future__ import annotations
 
+from .calculus import ACTION_FREE, Atom
 from .homology import GCWComplex
-
-SPHERE_CELL_ACTIONS = ("trivial", "with_fixed_point", "antipodal")
 
 
 def point_complex() -> GCWComplex:
@@ -28,33 +28,30 @@ def two_fixed_points_complex() -> GCWComplex:
 
 
 def sphere_complex(d: int, action: str) -> GCWComplex:
-    """A d-sphere with one of three cellular involutions.
+    """A d-sphere with the involution of ``Atom.sphere(d, action)``, which
+    validates both arguments (``InvalidAtom``).
 
-    * ``trivial`` / ``with_fixed_point``: one 0-cell and one d-cell, both
+    * ``free``: two cells in every dimension 0..d, swapped by the
+      involution, with d(c_q) = both cells below (the antipodal map).
+    * ``with_fixed_point`` / ``trivial``: one 0-cell and one d-cell, both
       fixed.  A cellular action with a fixed point is trivial on this
       decomposition whatever the geometric action does, which is why the two
-      names share a model.
-    * ``antipodal``: two cells in every dimension 0..d, swapped by the
-      involution, with d(c_q) = both cells below; the involution is free.
+      actions share a model.
     """
-    if d < 1:
-        raise ValueError("sphere dimension must be >= 1")
-    if action in ("trivial", "with_fixed_point"):
+    Atom.sphere(d, action)  # validates d and action
+    if action != ACTION_FREE:
         # for d = 1 the two endpoints of the 1-cell agree and cancel mod 2
         return GCWComplex({"v": 0, "e": d}, boundary={"e": []},
                           fixed_is_geometric=True)
-    if action == "antipodal":
-        cells = {}
-        boundary = {}
-        sigma = {}
-        for q in range(d + 1):
-            plus, minus = f"c{q}+", f"c{q}-"
-            cells[plus] = cells[minus] = q
-            sigma[plus], sigma[minus] = minus, plus
-            if q >= 1:
-                below = [f"c{q - 1}+", f"c{q - 1}-"]
-                boundary[plus] = below
-                boundary[minus] = below
-        return GCWComplex(cells, boundary, sigma, fixed_is_geometric=True)
-    raise ValueError(f"unknown sphere action {action!r}; "
-                     f"expected one of {SPHERE_CELL_ACTIONS}")
+    cells = {}
+    boundary = {}
+    sigma = {}
+    for q in range(d + 1):
+        plus, minus = f"c{q}+", f"c{q}-"
+        cells[plus] = cells[minus] = q
+        sigma[plus], sigma[minus] = minus, plus
+        if q >= 1:
+            below = [f"c{q - 1}+", f"c{q - 1}-"]
+            boundary[plus] = below
+            boundary[minus] = below
+    return GCWComplex(cells, boundary, sigma, fixed_is_geometric=True)

@@ -5,14 +5,16 @@ vectors and each structural law is asserted.
 reproduce, exactly; ``properties`` checks the structural laws; ``all`` runs
 both, and the tests read its results instead of deriving them again.  Each
 check records the acceptance criterion it serves.  In ``paper``: 1 atom
-values and the Laurent view of the point, 2 homology tables, 3 series equal
-atom classes, 6 the curve variants, 7 the zeta closed forms of x^2 + y^4,
-8 the sign identity and its refusal at T^N on x, x^3, x^5, 9 the arc oracle
-against the resolution formula.  In ``properties``: 2 the fixed-point
-sphere tables, 4 the negative tail, 5 Kunneth and duality, 10 the naive
-projection, 11 field axioms, Laurent round trip, lifts, additivity, the
-arc-space stratification and integral zeta coefficients.  A failing check
-says what it got, naming the first failing case of an aggregate.
+values and the Laurent view of the point, 2 homology tables, 3 the series of
+every compact atom's model equals its class (the point, the swapped pair,
+and the d-sphere under each action for d <= 6), 6 the curve variants, 7 the
+zeta closed forms of x^2 + y^4, 8 the sign identity and its refusal at T^N
+on x, x^3, x^5, 9 the arc oracle against the resolution formula.  In
+``properties``: 2 the fixed-point sphere tables, 4 the negative tail, 5
+Kunneth and duality, 10 the naive projection, 11 field axioms, Laurent round
+trip, lifts, additivity, the arc-space stratification and integral zeta
+coefficients.  A failing check says what it got, naming the first failing
+case of an aggregate.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .calculus import (
     ACTION_FIXED,
     ACTION_FREE,
     ACTION_TRIVIAL,
+    SPHERE_ACTIONS,
     Atom,
     TAIL_SERIES,
     atom_class,
@@ -91,9 +94,9 @@ def _curated() -> dict:
     return {"point": complexes.point_complex(),
             "swapped pair": complexes.swapped_pair_complex(),
             "two fixed points": complexes.two_fixed_points_complex(),
-            "fixed circle": complexes.sphere_complex(1, "with_fixed_point"),
-            "antipodal circle": complexes.sphere_complex(1, "antipodal"),
-            **{f"trivial S^{d}": complexes.sphere_complex(d, "trivial")
+            "fixed circle": complexes.sphere_complex(1, ACTION_FIXED),
+            "antipodal circle": complexes.sphere_complex(1, ACTION_FREE),
+            **{f"trivial S^{d}": complexes.sphere_complex(d, ACTION_TRIVIAL)
                for d in (1, 2, 3)}}
 
 
@@ -115,12 +118,9 @@ def _paper_suite(rec: _Recorder):
     rec.check("swapped pair class is 1",
               atom_class(Atom.pair()).value == RationalU(1))
     for d in (1, 2, 3):
-        series = homology.equivariant_betti_series(
-            complexes.sphere_complex(d, "antipodal"))
-        free = atom_class(Atom.sphere(d, ACTION_FREE))
-        rec.check(f"free {d}-sphere class equals the series of the "
-                  f"antipodal S^{d}", free == series,
-                  f"atom class {free}, series {series}")
+        rec.check(f"free {d}-sphere class is 1+u+...+u^{d}",
+                  atom_class(Atom.sphere(d, ACTION_FREE)).value
+                  == RationalU(IntPoly.geometric_sum(0, d)))
         expected = RationalU(IntPoly.geometric_sum(1, d)) + 2 * TAIL_SERIES
         rec.check(f"fixed-point {d}-sphere class is u^{d}+...+u + 2u/(u-1)",
                   atom_class(Atom.sphere(d, ACTION_FIXED)).value == expected)
@@ -147,16 +147,13 @@ def _paper_suite(rec: _Recorder):
         f"n={n}" for n in range(-3, 5)
         if homology.equivariant_cohomology(cw["point"], n) != int(n >= 0)))
 
-    rec.criterion = 3  # series bridge
-    bridge = [
-        ("point", "point", Atom.point()),
-        ("swapped pair", "swapped pair", Atom.pair()),
-        ("free circle", "antipodal circle", Atom.sphere(1, ACTION_FREE)),
-        ("circle with fixed points", "fixed circle", Atom.sphere(1, ACTION_FIXED)),
-    ] + [(f"trivial {d}-sphere", f"trivial S^{d}", Atom.sphere(d, ACTION_TRIVIAL))
-         for d in (1, 2, 3)]
-    for name, key, atom in bridge:
-        series, cls = homology.equivariant_betti_series(cw[key]), atom_class(atom)
+    rec.criterion = 3  # series bridge: every compact atom against its model
+    spheres = ((f"{a} S^{d}", Atom.sphere(d, a), complexes.sphere_complex(d, a))
+               for a in SPHERE_ACTIONS for d in range(1, 7))
+    for name, atom, model in [("point", Atom.point(), cw["point"]),
+                              ("swapped pair", Atom.pair(), cw["swapped pair"]),
+                              *spheres]:
+        series, cls = homology.equivariant_betti_series(model), atom_class(atom)
         rec.check(f"series of the {name} complex equals its atom class",
                   series == cls, f"series {series}, atom class {cls}")
 
@@ -317,7 +314,7 @@ def _homology_laws(rec: _Recorder):
     rec.criterion = 2
     for d in (1, 2, 3):
         _table_check(rec, f"homology table of the fixed-point {d}-sphere",
-                     complexes.sphere_complex(d, "with_fixed_point"), d + 1,
+                     complexes.sphere_complex(d, ACTION_FIXED), d + 1,
                      partial(_sphere_dim, d))
 
     # negative stabilization: the tail is the homology of the fixed set

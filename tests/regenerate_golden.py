@@ -69,6 +69,7 @@ REFUSALS = [
     ["eval", "lift(u^1025)"],
     ["eval", f"lift({'9' * 1001})"],
     ["homology", "data/s1_antipodal.json", "--range=0..1031"],
+    ["homology", "data/s1_antipodal.json", "--range=3"],
 ]
 
 README = [

@@ -64,7 +64,7 @@ def test_free_sphere_has_the_class_of_its_quotient(d):
     # and, from d = 2, the scissor relation agree; S^d minus its equator is
     # two swapped open d-discs
     free = atom_class(Atom.sphere(d, ACTION_FREE))
-    assert free == equivariant_betti_series(sphere_complex(d, "antipodal"))
+    assert free == equivariant_betti_series(sphere_complex(d, "free"))
     assert free_quotient(free, True) == geometric(0, d)
     if d >= 2:
         assert difference(free, atom_class(Atom.sphere(d - 1, ACTION_FREE))) \

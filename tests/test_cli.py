@@ -95,6 +95,13 @@ def test_format_window_skips_zero_terms():
     assert format_window(window).splitlines()[0] == "u + u^-1"
 
 
+def test_format_output_unknown_tail():
+    # the coefficients of 1/(u^2 + 1) repeat with period 4, so the window
+    # names no constant tail
+    assert (format_output(RationalU.parse("1/(u^2 + 1)"), 5)
+            == "u^-2 - u^-4 + ...")
+
+
 def test_format_output_zero():
     assert format_output(RationalU.zero()) == "0"
 
@@ -217,6 +224,17 @@ def test_range_span_is_the_library_bound(tmp_path, capsys, monkeypatch):
     assert main(["homology", str(path), "--range=0..4"]) == 1
     assert capsys.readouterr().err.endswith(
         "error: bad range '0..4', expected NMIN <= NMAX <= NMIN + 3\n")
+
+
+def test_range_is_refused_before_the_file_is_read(circle_file, capsys,
+                                                   monkeypatch):
+    assert main(["homology", "nosuch.json", "--range=3..1"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad range '3..1'")
+    monkeypatch.setattr(homology.GCWComplex, "load", lambda path: pytest.fail(
+        "the complex was loaded before its range was checked"))
+    assert main(["homology", str(circle_file), "--range=3"]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad range '3', expected NMIN..NMAX\n")
 
 
 def test_oracle_coefficients(capsys):

@@ -6,9 +6,12 @@ a change that alters printed text regenerates them and names each changed
 file.
 """
 
+import re
+
 import pytest
 
-from regenerate_golden import COMMANDS, GOLDEN, VERIFY_ALL, render, run, slug
+from regenerate_golden import (COMMANDS, GOLDEN, ROOT, VERIFY_ALL, render, run,
+                               slug)
 from z2beta import verify
 
 
@@ -29,3 +32,10 @@ def test_verify_suite_all_matches_its_file(verify_results, monkeypatch):
     code, out, _ = run(["verify", "--suite", "all"])
     assert code == 0
     assert out.encode("utf-8") == VERIFY_ALL.read_bytes()
+
+
+def test_readme_library_example_prints_its_comment(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"```python\n(.*?)```", text, re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "u^2/(u - 1)\n"

@@ -44,7 +44,7 @@ U = IntPoly.u()
 def test_valid_examples():
     assert validate_complex(point_complex()) == []
     assert validate_complex(swapped_pair_complex()) == []
-    assert validate_complex(sphere_complex(3, "antipodal")) == []
+    assert validate_complex(sphere_complex(3, "free")) == []
 
 
 def test_dimension_violation_reported():
@@ -142,7 +142,7 @@ def test_validated_and_indexed_once_per_complex(monkeypatch):
 
     monkeypatch.setattr(homology, "validate_complex", counting)
     monkeypatch.setattr(homology, "_ChainData", CountingChainData)
-    cw = sphere_complex(2, "antipodal")
+    cw = sphere_complex(2, "free")
     # the constructor validates on the chain data it builds and keeps
     assert calls == [cw] and built == [cw]
     homology_table(cw, -3, 3)
@@ -162,7 +162,7 @@ def test_negative_tail_ranked_once(monkeypatch):
         return real(columns)
 
     monkeypatch.setattr(homology, "gf2_rank", counting)
-    cw = sphere_complex(2, "antipodal")
+    cw = sphere_complex(2, "free")
     homology_table(cw, -5, 3)
     homology_table(cw, -1, 3)
     equivariant_betti_series(cw)
@@ -188,7 +188,7 @@ def test_every_table_ranked_once(monkeypatch):
             super().__init__(x)
 
     # the factors, built first, have their own chain data
-    x, y = sphere_complex(2, "antipodal"), sphere_complex(1, "trivial")
+    x, y = sphere_complex(2, "free"), sphere_complex(1, "trivial")
     monkeypatch.setattr(homology, "gf2_rank", counting)
     monkeypatch.setattr(homology, "_ChainData", CountingChainData)
     cw = product_with_trivial(x, y)
@@ -210,7 +210,7 @@ def test_chain_data_leaves_no_cycle():
     gc.collect()
     gc.disable()
     try:
-        cw = product_with_trivial(sphere_complex(3, "antipodal"),
+        cw = product_with_trivial(sphere_complex(3, "free"),
                                   sphere_complex(1, "trivial"))
         data = cw._chains
         data.homology_dims, data.cohomology_dims, data.plain_dims
@@ -238,7 +238,7 @@ def test_refused_complex_leaves_no_cycle():
 
 
 def test_complex_is_immutable():
-    cw = sphere_complex(1, "antipodal")
+    cw = sphere_complex(1, "free")
     for name in ("cells", "boundary", "sigma"):
         with pytest.raises(TypeError):
             getattr(cw, name)["c0+"] = "x"
@@ -250,7 +250,7 @@ def test_complex_is_immutable():
 
 
 def test_validating_again_keeps_the_chain_data():
-    cw = sphere_complex(2, "antipodal")
+    cw = sphere_complex(2, "free")
     chains = cw._chains
     assert equivariant_homology(cw, 1) == 1
     assert validate_complex(cw) == []
@@ -308,7 +308,7 @@ def test_plain_homology():
     s2 = sphere_complex(2, "trivial")
     assert [plain_homology(s2, n) for n in range(-1, 4)] == [0, 1, 0, 1, 0]
     assert plain_homology(point_complex(), 0) == 1
-    assert plain_homology(sphere_complex(1, "antipodal"), 1) == 1
+    assert plain_homology(sphere_complex(1, "free"), 1) == 1
 
 
 def test_trivial_action_reduces_to_plain():
@@ -346,7 +346,7 @@ def test_reflection_circle_matches_fixed_point_series():
 def test_fixed_subcomplex():
     circle = sphere_complex(1, "with_fixed_point")
     assert set(fixed_subcomplex(circle).cells) == {"v", "e"}
-    assert fixed_subcomplex(sphere_complex(2, "antipodal")).cells == {}
+    assert fixed_subcomplex(sphere_complex(2, "free")).cells == {}
     mixed = GCWComplex({"p": 0, "q": 0, "f": 0},
                        sigma={"p": "q", "q": "p"}, fixed_is_geometric=True)
     assert set(fixed_subcomplex(mixed).cells) == {"f"}
@@ -375,7 +375,7 @@ def test_cohomology_closed_forms(d):
     # antipodal S^d / G = RP^d has one class in each degree 0..d, and the
     # trivial S^d gives H^*(BG) (one class in every degree >= 0) tensored
     # with H^*(S^d) (degrees 0 and d)
-    antipodal = sphere_complex(d, "antipodal")
+    antipodal = sphere_complex(d, "free")
     trivial = sphere_complex(d, "trivial")
     for n in range(-2, d + 3):
         assert equivariant_cohomology(antipodal, n) == int(0 <= n <= d)
@@ -388,7 +388,7 @@ def test_cohomology_closed_forms(d):
     (two_fixed_points_complex, ()),
     (sphere_complex, (1, "trivial")),
     (sphere_complex, (2, "trivial")),
-    (sphere_complex, (1, "antipodal")),
+    (sphere_complex, (1, "free")),
 ])
 def test_negative_degrees_equal_fixed_set_homology(builder, args):
     cw = builder(*args)
@@ -426,7 +426,7 @@ def test_product_fixed_circle_by_circle():
 def test_one_string_per_cell_id():
     # every face and sigma image is the key object of ``cells``, in the
     # product and after a JSON round trip, which makes fresh strings
-    prod = product_with_trivial(sphere_complex(2, "antipodal"),
+    prod = product_with_trivial(sphere_complex(2, "free"),
                                 sphere_complex(1, "trivial"))
     loaded = GCWComplex.from_dict(json.loads(json.dumps(prod.to_dict())))
     for cw in (prod, loaded):
@@ -445,7 +445,7 @@ def test_product_requires_trivial_second_factor():
 @pytest.mark.parametrize("x_builder,x_args", [
     (swapped_pair_complex, ()),
     (sphere_complex, (1, "with_fixed_point")),
-    (sphere_complex, (1, "antipodal")),
+    (sphere_complex, (1, "free")),
 ])
 def test_kunneth_rule(x_builder, x_args):
     x = x_builder(*x_args)
@@ -466,7 +466,7 @@ def test_free_action_equals_quotient_homology(d):
     # for a free involution the equivariant groups are those of the quotient;
     # the quotient of the antipodal model is one cell per dimension with
     # vanishing mod-2 boundary
-    sphere = sphere_complex(d, "antipodal")
+    sphere = sphere_complex(d, "free")
     quotient = GCWComplex({f"c{q}": q for q in range(d + 1)})
     for n in range(-3, d + 3):
         assert equivariant_homology(sphere, n) == plain_homology(quotient, n)
@@ -484,7 +484,7 @@ def test_point_cohomology():
     (sphere_complex, (1, "trivial")),
     (sphere_complex, (2, "trivial")),
     (sphere_complex, (3, "trivial")),
-    (sphere_complex, (1, "antipodal")),
+    (sphere_complex, (1, "free")),
 ])
 def test_poincare_duality(builder, args):
     cw = builder(*args)
@@ -495,14 +495,14 @@ def test_poincare_duality(builder, args):
 
 def _antipodal_tower():
     """The antipodal S^3 times (S^1)^8: 2048 cells, dimension 11."""
-    cw = sphere_complex(3, "antipodal")
+    cw = sphere_complex(3, "free")
     for _ in range(8):
         cw = product_with_trivial(cw, sphere_complex(1, "trivial"))
     return cw
 
 
 @pytest.mark.parametrize("build", [
-    _antipodal_tower, lambda: sphere_complex(1023, "antipodal"),
+    _antipodal_tower, lambda: sphere_complex(1023, "free"),
 ], ids=["tower", "s1023"])
 def test_poincare_duality_at_max_cells(build):
     # the only check of the transposed columns at the cell bound: no

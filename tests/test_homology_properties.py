@@ -83,7 +83,7 @@ def with_circles(x: GCWComplex, k: int) -> GCWComplex:
     return x
 
 
-FREE_BASES = [with_circles(sphere_complex(d, "antipodal"), k)
+FREE_BASES = [with_circles(sphere_complex(d, "free"), k)
               for d in (1, 2, 3) for k in (0, 1, 2)]
 BASES = FREE_BASES + [with_circles(reflection_sphere(d), k)
                       for d in (1, 2, 3) for k in (0, 1, 2)]
@@ -184,7 +184,7 @@ def test_series_at_minus_one_is_half_euler(x):
 def test_series_at_minus_one_is_half_euler_on_models():
     # "with_fixed_point" builds the "trivial" model
     spheres = [sphere_complex(d, action) for d in range(1, 6)
-               for action in ("trivial", "antipodal")]
+               for action in ("trivial", "free")]
     for x in [*spheres, *BASES]:
         assert_half_euler_at_minus_one(x)
 
@@ -317,8 +317,8 @@ def test_dims_match_per_query_elimination_on_bases():
     # an edge with one end: on the bases the last row of every block
     # depends on the rows before it, and on these products it does not
     ray = GCWComplex({"v": 0, "e": 1}, {"e": ["v"]})
-    for x in [*BASES, sphere_complex(32, "antipodal"),
-              with_circles(sphere_complex(3, "antipodal"), 5), ray,
-              product_with_trivial(sphere_complex(2, "antipodal"), ray),
+    for x in [*BASES, sphere_complex(32, "free"),
+              with_circles(sphere_complex(3, "free"), 5), ray,
+              product_with_trivial(sphere_complex(2, "free"), ray),
               product_with_trivial(reflection_sphere(2), ray)]:
         assert_dims_match_per_query(x)
